@@ -213,10 +213,13 @@ def graph_from_json(obj: dict) -> CaySumGraph:
     for field in ("edges", "semiedges"):
         if field in obj:
             given = obj[field]
-            if field == "edges":
-                given = sorted([int(a), int(b), int(c)] for a, b, c in given)
-            else:
-                given = {str(k): int(v) for k, v in given.items()}
+            try:
+                if field == "edges":
+                    given = sorted([int(a), int(b), int(c)] for a, b, c in given)
+                else:
+                    given = {str(k): int(v) for k, v in given.items()}
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"graph JSON field {field!r} is malformed: {exc}") from exc
             if given != payload[field]:
                 raise ValueError(f"graph JSON field {field!r} is inconsistent with its sum set")
     return graph

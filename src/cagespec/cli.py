@@ -229,7 +229,7 @@ def _matrix_from_lists(rows) -> IntMatrix:
         raise _UsageError("expected a JSON array of matrix rows")
     d = len(rows)
     for r in rows:
-        if len(r) != d or not all(isinstance(x, int) for x in r):
+        if len(r) != d or not all(type(x) is int for x in r):
             raise _UsageError(f"expected a square integer matrix, got row {r!r}")
     return IntMatrix.from_rows(rows)
 
@@ -335,7 +335,10 @@ def _cmd_spectrum(args, config: RunConfig) -> int:
         q, s = group_and_sumset(t)
         graph = cayley_sum_graph(q.group, s)
     else:
-        graph = graph_from_json(_load_json(sys.stdin.read()))
+        try:
+            graph = graph_from_json(_load_json(sys.stdin.read()))
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
     part = character_spectrum(graph)
     numeric = numeric_spectrum(graph.adjacency_matrix().astype(float), tol=config.eigen_tol)
     ok = multiset_close(part.full(), numeric, config.match_tol)

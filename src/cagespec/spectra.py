@@ -4,6 +4,11 @@ Two independent routes are provided: an exact character-based computation
 (eigenvalues come from chi(S) for real characters and +-|chi(S)| for conjugate
 pairs, with eigenvectors assembled from the characters), and a from-scratch
 cyclic Jacobi eigensolver that knows nothing about the group structure.
+
+The character sums chi_a(S) over Z_n1 x ... x Z_nk are the multidimensional
+DFT of S's multiplicity array, so all paired magnitudes come from one
+np.fft.fftn; the real characters keep exact integer parity sums, and the two
+routes are compared at the involutive labels.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "SpectrumPartition",
     "EigenPair",
     "ConvergenceError",
+    "InvariantViolation",
     "character_spectrum",
     "sum_set_spectrum",
     "canonical_unmatched",
@@ -41,6 +47,10 @@ MATCH_TOL = 1e-8
 
 class ConvergenceError(RuntimeError):
     """Raised when the Jacobi sweep budget is exhausted before convergence."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed for a constructed graph."""
 
 
 @dataclass(frozen=True)
@@ -79,8 +89,46 @@ class SpectrumPartition:
 
 
 @lru_cache(maxsize=128)
-def _unit_roots(den: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * math.pi * k / den) for k in range(den))
+def _dft_layout(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the conjugate-pair representatives and of the involutive
+    labels in the DFT array of a group with these (nonempty) moduli.
+
+    Lexicographic tuple order is row-major flat order, so the representative
+    of {a, -a} is the flat index k with k < neg[k], and a = -a iff k == neg[k].
+    """
+    labels = np.indices(moduli).reshape(len(moduli), -1)
+    neg = np.ravel_multi_index(tuple((-labels) % np.array(moduli)[:, None]), moduli)
+    k = np.arange(neg.size)
+    return np.flatnonzero(k < neg), np.flatnonzero(k == neg)
+
+
+def _character_dft(group: FiniteAbelianGroup, s: SumSet) -> np.ndarray:
+    """All character sums at once: the DFT of S's multiplicity array, flat.
+
+    np.fft.fftn computes sum_x m[x] exp(-2 pi i a.x / n), which is the complex
+    conjugate of chi_a(S); magnitudes and real values are unaffected.
+    """
+    moduli = group.moduli
+    flat = []
+    for x in s.elements:
+        idx = 0
+        for c, n in zip(x, moduli):
+            idx = idx * n + c
+        flat.append(idx)
+    mult = np.bincount(flat, minlength=group.order).reshape(moduli)
+    return np.fft.fftn(mult).ravel()
+
+
+def _real_character_values(group: FiniteAbelianGroup, s: SumSet) -> list[int]:
+    """Exact chi_a(S) for every involutive label a, in lexicographic order."""
+    values = []
+    for a in group.involutive_elements():
+        active = tuple(j for j, aj in enumerate(a) if aj != 0)
+        total = 0
+        for x in s.elements:
+            total += -1 if sum(x[j] for j in active) % 2 else 1
+        values.append(total)
+    return values
 
 
 def sum_set_spectrum(
@@ -90,58 +138,31 @@ def sum_set_spectrum(
 ) -> SpectrumPartition:
     """Exact spectrum partition of CayS(group, s) straight from the sum set.
 
-    Real (involutive) characters contribute chi(S) as exact integers; each
-    conjugate character pair contributes the magnitude |chi(S)| once.  The
-    semiedge total (the adjacency trace) is recomputed arithmetically unless
-    supplied, and checked against the sum of the real character values.
+    Real (involutive) characters contribute chi(S) as exact integers from
+    parity sums; each conjugate character pair contributes the magnitude
+    |chi(S)| once, read from one DFT of S's multiplicity array.  Two checks
+    compare independent routes: the DFT values at the involutive labels must
+    match the exact integers, and the semiedge total (the adjacency trace,
+    recomputed arithmetically unless supplied) must equal their sum.
     """
     if s.group != group:
         raise ValueError("sum set belongs to a different group")
-    moduli = group.moduli
-    s_elements = s.elements
-
-    raw = []
-    for a in group.involutive_elements():
-        active = tuple(j for j, aj in enumerate(a) if aj != 0)
-        total = 0
-        for x in s_elements:
-            total += -1 if sum(x[j] for j in active) % 2 else 1
-        raw.append(total)
-
-    den = group._lcm
-    roots = _unit_roots(den)
-    weights = tuple(den // n for n in moduli)
+    raw = _real_character_values(group, s)
     paired: list[float] = []
-    if len(moduli) == 2:
-        # rank-2 fast path: plane quotients are the bulk caller, so keep the
-        # inner loop on plain ints
-        m0, m1 = moduli
-        w0, w1 = weights
-        sw = [(x0 * w0, x1 * w1) for x0, x1 in s_elements]
-        for a0 in range(m0):
-            na0 = (-a0) % m0
-            if a0 > na0:
-                continue
-            full_row = a0 < na0
-            for a1 in range(m1):
-                if not full_row and a1 >= (-a1) % m1:
-                    continue
-                z = 0j
-                for x0, x1 in sw:
-                    z += roots[(a0 * x0 + a1 * x1) % den]
-                paired.append(abs(z))
-    else:
-        s_weighted = [tuple(xj * w for xj, w in zip(x, weights)) for x in s_elements]
-        for a in group.conjugate_pair_reps():
-            z = 0j
-            for xw in s_weighted:
-                z += roots[sum(aj * xj for aj, xj in zip(a, xw)) % den]
-            paired.append(abs(z))
+    if group.moduli:
+        reps, invol = _dft_layout(group.moduli)
+        chi = _character_dft(group, s)
+        if np.max(np.abs(chi[invol] - raw)) > MATCH_TOL:
+            raise InvariantViolation(
+                f"DFT values at the real characters {chi[invol].real.tolist()} "
+                f"!= exact parity sums {raw} for moduli {group.moduli}"
+            )
+        paired = np.sort(np.abs(chi[reps]))[::-1].tolist()
 
     if semiedge_total is None:
         semiedge_total = total_semiedge_count(group, s)
     if sum(raw) != semiedge_total:
-        raise AssertionError(
+        raise InvariantViolation(
             f"trace identity violated: sum of real character values {sum(raw)} "
             f"!= semiedge total {semiedge_total}"
         )
@@ -150,7 +171,7 @@ def sum_set_spectrum(
         semiedge_total=semiedge_total,
         unmatched_raw=raw_sorted,
         unmatched_canonical=canonical_unmatched(raw_sorted),
-        paired=tuple(sorted(paired, reverse=True)),
+        paired=tuple(paired),
     )
 
 
@@ -231,8 +252,8 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
     both parts belong to the doubly degenerate eigenvalue 0.
     """
     group = graph.group
-    n = group.order
-    elements = group.element_tuple
+    moduli = group.moduli
+    labels = np.indices(moduli).reshape(len(moduli), group.order)
     adjacency = graph.adjacency_matrix().astype(float)
     pairs: list[EigenPair] = []
 
@@ -241,32 +262,25 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
         residual = float(np.max(np.abs(adjacency @ vec - value * vec)))
         pairs.append(EigenPair(value=value, vector=vec, residual=residual))
 
-    s_elements = graph.sum_set.elements
-    for a in group.involutive_elements():
-        active = tuple(j for j, aj in enumerate(a) if aj != 0)
-        value = 0
-        for x in s_elements:
-            value += -1 if sum(x[j] for j in active) % 2 else 1
-        vec = np.array(
-            [-1.0 if sum(x[j] for j in active) % 2 else 1.0 for x in elements]
-        )
-        finish(float(value), vec)
+    raw = _real_character_values(group, graph.sum_set)
+    for a, value in zip(group.involutive_elements(), raw):
+        active = [j for j, aj in enumerate(a) if aj != 0]
+        finish(float(value), 1.0 - 2.0 * (labels[active].sum(axis=0) % 2))
 
+    if not moduli:
+        return pairs
+    reps, _ = _dft_layout(moduli)
+    chi_s = np.conj(_character_dft(group, graph.sum_set)[reps])
     den = group._lcm
-    weights = tuple(den // m for m in group.moduli)
-    for a in group.conjugate_pair_reps():
-        aw = tuple(aj * w for aj, w in zip(a, weights))
-        phases = np.array([sum(aj * xj for aj, xj in zip(aw, x)) % den for x in elements])
-        chi = np.exp(2j * np.pi * phases / den)
-        chi_s = 0j
-        for x in s_elements:
-            chi_s += cmath.exp(2j * math.pi * (sum(aj * xj for aj, xj in zip(aw, x)) % den) / den)
-        value = abs(chi_s)
+    # exact integer phases of every pair representative at every element
+    phases = ((labels[:, reps].T * (den // np.array(moduli))) @ labels) % den
+    for z, chi in zip(chi_s.tolist(), np.exp(2j * np.pi * phases / den)):
+        value = abs(z)
         if value < 1e-12:
             alpha = 1.0 + 0j
             value = 0.0
         else:
-            alpha = cmath.exp(-1j * cmath.phase(chi_s) / 2)
+            alpha = cmath.exp(-1j * cmath.phase(z) / 2)
         rotated = alpha * chi
         finish(value, rotated.real.copy())
         finish(-value, rotated.imag.copy())

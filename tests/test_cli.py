@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cagespec import spectra
 from cagespec.cli import main
 
 GOLDEN_LATTICE = "[[6, -2], [2, 6]]"
@@ -120,6 +121,23 @@ def test_spectrum_csv_format(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["eigenvalue"]
     assert [r[0] for r in rows[1:]] == ["3", "-1"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text",
+    [
+        (["spectrum"], '{"moduli": [3], "sum_set": [[0], [1], [2]], "edges": 5}'),
+        (["spectrum"], '{"moduli": [3], "sum_set": [[5]]}'),
+        (["spectrum"], '{"moduli": [0], "sum_set": [[0]]}'),
+        (["snf", "[[true]]"], None),
+    ],
+)
+def test_malformed_input_exits_2(argv, stdin_text, capsys, monkeypatch):
+    code, out, err = run_cli(argv, capsys, monkeypatch, stdin_text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_spectrum_degenerate_spec_exits_3(capsys):
@@ -237,6 +255,22 @@ def test_verify_sweep_summary(capsys):
     assert code == 0
     assert "verified 132 specs (max index 6)" in out
     assert "violations: 0" in out
+
+
+def test_verify_reports_a_spectrum_check_failure_as_exit_3(capsys, monkeypatch):
+    # corrupt the DFT route only: the trivial character no longer matches |S|
+    fftn = spectra.np.fft.fftn
+
+    def shifted(a):
+        out = fftn(a)
+        out.flat[0] += 0.5
+        return out
+
+    monkeypatch.setattr(spectra.np.fft, "fftn", shifted)
+    code, out, err = run_cli(["verify", "--spec", "6,2,-2,6,1,0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "real characters" in err
 
 
 def test_verify_needs_a_target(capsys):

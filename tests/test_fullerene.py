@@ -28,6 +28,9 @@ from cagespec.fullerene import (
 from cagespec.spectra import multiset_close, spectrum_is_paired
 
 RNG_SEED = 0xF01D
+TRANSLATIONS = ((0, 0), (1, 0), (0, 1), (1, 1))
+# bases that are not in Hermite form, including negative entries
+SKEW_BASES = ((3, 1, -1, 3), (2, 1, 1, 3), (-2, 3, 3, 2), (1, 2, 3, -4))
 
 
 # --- an independent geometric fold, for cross-checking -----------------------
@@ -108,9 +111,8 @@ def test_fold_matches_independent_geometry_small():
 
 
 def test_fold_matches_independent_geometry_skew_bases():
-    # bases that are not in Hermite form, including negative entries
-    for pqrs in ((3, 1, -1, 3), (2, 1, 1, 3), (-2, 3, 3, 2), (1, 2, 3, -4)):
-        for p1, p2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+    for pqrs in SKEW_BASES:
+        for p1, p2 in TRANSLATIONS:
             assert_fold_matches_reference(TriangleSpec(*pqrs, p1, p2))
 
 
@@ -258,8 +260,14 @@ def test_folded_graph_shape():
     assert sorted(labels) == sorted(q.group.element_tuple)
 
 
+def extra_fold_specs() -> list[TriangleSpec]:
+    """Non-Hermite bases plus two lattices whose quotient has rank 2."""
+    bases = SKEW_BASES + ((6, 0, 0, 6), (4, 0, 2, 12))
+    return [TriangleSpec(*pqrs, p1, p2) for pqrs in bases for p1, p2 in TRANSLATIONS]
+
+
 def test_fold_is_isomorphic_across_sweep():
-    for t in enumerate_specs(8):
+    for t in [*enumerate_specs(8), *extra_fold_specs()]:
         folded = fold_construction(t)
         q, s = group_and_sumset(t)
         assert verify_isomorphism(folded, q, s)
@@ -269,7 +277,7 @@ def test_fold_is_isomorphic_across_sweep():
 def test_fold_rejects_wrong_sum_set():
     rng = random.Random(RNG_SEED)
     checked = 0
-    for t in enumerate_specs(6):
+    for t in [*enumerate_specs(6), *extra_fold_specs()]:
         q, s = group_and_sumset(t)
         if q.group.order < 3:
             continue

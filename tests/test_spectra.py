@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -107,8 +108,9 @@ def test_multiset_close():
 
 def test_sum_set_spectrum_matches_per_character_sums():
     rng = random.Random(RNG_SEED + 1)
-    for _ in range(50):
-        g = random_group(rng)
+    # random groups, then the trivial group and rank-3 groups with several even moduli
+    fixed = [FiniteAbelianGroup(m) for m in ((), (2, 4, 6), (2, 2, 8))]
+    for g in itertools.chain((random_group(rng) for _ in range(50)), fixed):
         s = random_sum_set(rng, g)
         part = sum_set_spectrum(g, s)
         unmatched, paired = brute_partition(g, s)
