@@ -199,15 +199,21 @@ def graph_to_json(graph: CaySumGraph) -> dict:
     }
 
 
-def graph_from_json(obj: dict) -> CaySumGraph:
+def graph_from_json(obj: dict, max_order: int | None = None) -> CaySumGraph:
     """Rebuild a graph from its wire format; edge/semiedge fields, when present,
-    are validated against the reconstruction."""
+    are validated against the reconstruction.  Moduli and sum-set coordinates
+    must be integers, and a group of order above max_order (when given) is
+    rejected before its graph is built."""
     try:
-        moduli = tuple(int(n) for n in obj["moduli"])
-        sum_elements = tuple(tuple(int(c) for c in x) for x in obj["sum_set"])
+        moduli = tuple(obj["moduli"])
+        sum_elements = tuple(tuple(x) for x in obj["sum_set"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph JSON missing or malformed field: {exc}") from exc
+    if not all(type(v) is int for v in (*moduli, *(c for x in sum_elements for c in x))):
+        raise ValueError("graph JSON moduli and sum_set coordinates must be integers")
     group = FiniteAbelianGroup(moduli)
+    if max_order is not None and group.order > max_order:
+        raise ValueError(f"group order {group.order} exceeds the limit {max_order}")
     graph = cayley_sum_graph(group, SumSet(group, sum_elements))
     payload = graph_to_json(graph)
     for field in ("edges", "semiedges"):

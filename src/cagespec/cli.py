@@ -15,7 +15,8 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterator, Sequence
 
 from .abelian import DegenerateLatticeError
 from .caysum import cayley_sum_graph, graph_from_json, graph_to_json
@@ -33,7 +34,6 @@ from .fullerene import (
 )
 from .intlinalg import IntMatrix, snf
 from .spectra import (
-    EIGENSOLVER_TOL,
     MATCH_TOL,
     ConvergenceError,
     character_spectrum,
@@ -41,7 +41,7 @@ from .spectra import (
     numeric_spectrum,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["RunConfig", "SPECTRUM_MAX_ORDER", "main"]
 
 _CENSUS_HEADER = [
     "p",
@@ -61,6 +61,12 @@ _CENSUS_HEADER = [
 
 _CHUNK = 256
 
+# Largest group order `spectrum` accepts.  Its numeric check diagonalizes the
+# dense n x n adjacency matrix with the cyclic Jacobi solver, whose time grows
+# about as n^2.5: 2.3-2.5 s at order 200, 11-17 s at 400 and 30-40 s at 512
+# (Z_n and Z_2 x Z_n/2 folds, one core of a 2-vCPU VM, Python 3.11).
+SPECTRUM_MAX_ORDER = 400
+
 
 class _UsageError(Exception):
     """Bad input that argparse could not catch; mapped to exit code 2."""
@@ -68,13 +74,10 @@ class _UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-wide knobs: tolerances, parallelism, and the reproducibility seed
-    (reserved; no current subcommand draws randomness)."""
+    """Run-wide knobs: the spectrum match tolerance and sweep parallelism."""
 
     match_tol: float = MATCH_TOL
-    eigen_tol: float = EIGENSOLVER_TOL
     jobs: int = 1
-    seed: int = 0
 
 
 # --- argument parsing --------------------------------------------------------
@@ -135,12 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="worker processes for sweeps (default: $CAGESPEC_JOBS or 1)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="PRNG seed, reserved for sampled operations (default 0)",
     )
 
     parser = argparse.ArgumentParser(
@@ -262,26 +259,25 @@ def _report_payload(report: FullereneReport) -> dict:
     }
 
 
-def _chunks(items: Iterable, size: int) -> Iterator[list]:
-    buf: list = []
-    for item in items:
-        buf.append(item)
-        if len(buf) >= size:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
+def _sweep(chunk_fn: Callable, max_index: int, jobs: int) -> Iterator:
+    """chunk_fn's results, in order, over enumerate_specs(max_index) cut into
+    lists of _CHUNK specs; the chunks run in jobs worker processes when
+    jobs > 1."""
+    specs = enumerate_specs(max_index)
+    chunks = iter(lambda: list(islice(specs, _CHUNK)), [])
+    if jobs == 1:
+        yield from map(chunk_fn, chunks)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(chunk_fn, chunks)
 
 
-def _classify_chunk(spec_tuples: list[tuple[int, ...]]) -> list[dict]:
-    return [_report_payload(classify(TriangleSpec(*tup))) for tup in spec_tuples]
+def _classify_chunk(specs: list[TriangleSpec]) -> list[FullereneReport]:
+    return [classify(t) for t in specs]
 
 
-def _verify_chunk(spec_tuples: list[tuple[int, ...]]) -> tuple[dict, int]:
-    cases: Counter = Counter()
-    for tup in spec_tuples:
-        cases[verify_spec(TriangleSpec(*tup)).case] += 1
-    return dict(cases), len(spec_tuples)
+def _verify_chunk(specs: list[TriangleSpec]) -> Counter:
+    return Counter(verify_spec(t).case for t in specs)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -331,16 +327,17 @@ def _cmd_fold(args, config: RunConfig) -> int:
 
 def _cmd_spectrum(args, config: RunConfig) -> int:
     if args.spec is not None:
-        t = TriangleSpec(*args.spec)
-        q, s = group_and_sumset(t)
+        q, s = group_and_sumset(TriangleSpec(*args.spec))
+        if q.group.order > SPECTRUM_MAX_ORDER:
+            raise _UsageError(f"group order {q.group.order} exceeds the limit {SPECTRUM_MAX_ORDER}")
         graph = cayley_sum_graph(q.group, s)
     else:
         try:
-            graph = graph_from_json(_load_json(sys.stdin.read()))
+            graph = graph_from_json(_load_json(sys.stdin.read()), max_order=SPECTRUM_MAX_ORDER)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     part = character_spectrum(graph)
-    numeric = numeric_spectrum(graph.adjacency_matrix().astype(float), tol=config.eigen_tol)
+    numeric = numeric_spectrum(graph.adjacency_matrix().astype(float))
     ok = multiset_close(part.full(), numeric, config.match_tol)
     if args.fmt == "csv":
         writer = csv.writer(sys.stdout)
@@ -361,28 +358,12 @@ def _cmd_spectrum(args, config: RunConfig) -> int:
     return 0 if ok else 3
 
 
-def _census_payloads(max_index: int, config: RunConfig) -> Iterator[dict]:
-    if config.jobs <= 1:
-        for t in enumerate_specs(max_index):
-            yield _report_payload(classify(t))
-        return
-    tuples = (t.as_tuple() for t in enumerate_specs(max_index))
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        for chunk in pool.map(_classify_chunk, _chunks(tuples, _CHUNK)):
-            yield from chunk
-
-
-def _dedup_key(payload: dict) -> tuple:
-    full = [float(v) for v in payload["M_raw"]]
-    for p in payload["paired"]:
-        full.append(p)
-        full.append(-p)
-    full.sort(reverse=True)
+def _dedup_key(report: FullereneReport) -> tuple:
     return (
-        payload["n_vertices"],
-        payload["semiedges"],
-        tuple(payload["moduli"]),
-        tuple(round(v, 9) for v in full),
+        report.n_vertices,
+        report.semiedges,
+        report.moduli,
+        tuple(round(v, 9) for v in report.full_spectrum()),
     )
 
 
@@ -417,15 +398,16 @@ def _cmd_census(args, config: RunConfig) -> int:
     seen: set = set()
     total = 0
     emitted = 0
-    for payload in _census_payloads(args.max_index, config):
+    for report in chain.from_iterable(_sweep(_classify_chunk, args.max_index, config.jobs)):
         total += 1
-        cases[payload["case"]] += 1
+        cases[report.case] += 1
         if args.dedup:
-            key = _dedup_key(payload)
+            key = _dedup_key(report)
             if key in seen:
                 continue
             seen.add(key)
         emitted += 1
+        payload = _report_payload(report)
         if writer is not None:
             writer.writerow(_census_csv_cells(payload))
         elif args.fmt == "json":
@@ -447,18 +429,8 @@ def _cmd_verify(args, config: RunConfig) -> int:
         return 0
     if args.max_index is None:
         raise _UsageError("verify needs --max-index or --spec")
-    cases: Counter = Counter()
-    total = 0
-    if config.jobs <= 1:
-        for t in enumerate_specs(args.max_index):
-            cases[verify_spec(t).case] += 1
-            total += 1
-    else:
-        tuples = (t.as_tuple() for t in enumerate_specs(args.max_index))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for chunk_cases, chunk_n in pool.map(_verify_chunk, _chunks(tuples, _CHUNK)):
-                cases.update(chunk_cases)
-                total += chunk_n
+    cases = sum(_sweep(_verify_chunk, args.max_index, config.jobs), Counter())
+    total = sum(cases.values())
     case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
     print(f"verified {total} specs (max index {args.max_index}); cases {case_text}; violations: 0")
     return 0
@@ -520,12 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     args.fmt = fmt
     try:
-        config = RunConfig(
-            match_tol=args.tolerance,
-            eigen_tol=EIGENSOLVER_TOL,
-            jobs=_resolve_jobs(args.jobs),
-            seed=args.seed,
-        )
+        config = RunConfig(match_tol=args.tolerance, jobs=_resolve_jobs(args.jobs))
         return args.func(args, config)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

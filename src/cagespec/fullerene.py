@@ -10,7 +10,9 @@ spectrum splits into a small unmatched multiset plus symmetric +- pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -171,21 +173,38 @@ class FoldedGraph:
     """Quotient of the triangle-adjacency graph by lattice translations and the
     point reflection; vertices are triangle orbits.
 
-    Every orbit contains exactly one translation-coset of up-triangles; reps[i]
-    is that coset's representative in the Hermite box, so orbits are indexed in
-    row-major box order.  edges maps index pairs (i, j), i < j, to
-    multiplicities; semiedges maps an index to the number of reflection-fixed
-    edges at that orbit.
+    Every orbit contains exactly one translation-coset of up-triangles, whose
+    representative reps[i] lies in the Hermite box [0, a) x [0, c); orbits are
+    indexed in row-major box order.  neighbours[k, x, y] is the orbit across
+    edge k of cell (x, y), the cell itself for a semiedge.  edges (index pairs
+    (i, j), i < j, to multiplicities) and semiedges (index to count) are read
+    off that array.
     """
 
     spec: TriangleSpec
-    reps: tuple[tuple[int, int], ...]
-    edges: dict[tuple[int, int], int]
-    semiedges: dict[int, int]
+    neighbours: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n_vertices(self) -> int:
-        return len(self.reps)
+        return self.neighbours[0].size
+
+    @property
+    def reps(self) -> tuple[tuple[int, int], ...]:
+        return tuple(np.ndindex(self.neighbours.shape[1:]))
+
+    @cached_property
+    def edges(self) -> dict[tuple[int, int], int]:
+        rows = self.neighbours.reshape(3, -1).tolist()
+        incidence = Counter((i, j) for row in rows for i, j in enumerate(row) if i != j)
+        if any(incidence[(j, i)] != m for (i, j), m in incidence.items()):
+            raise InvariantViolation(f"asymmetric fold incidence for {self.spec.as_tuple()}")
+        return {(i, j): m for (i, j), m in sorted(incidence.items()) if i < j}
+
+    @cached_property
+    def semiedges(self) -> dict[int, int]:
+        flat = self.neighbours.reshape(3, -1)
+        counts = (flat == np.arange(flat.shape[1])).sum(axis=0)
+        return {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
 
     @property
     def total_semiedges(self) -> int:
@@ -203,6 +222,11 @@ class FoldedGraph:
         return [q.project(rep) for rep in self.reps]
 
 
+# offsets from up (i, j)'s partner to those of down (i, j), (i-1, j), (i, j-1)
+_PARTNER_DX = np.array([0, 1, 0]).reshape(3, 1, 1)
+_PARTNER_DY = np.array([0, 0, 1]).reshape(3, 1, 1)
+
+
 def fold_construction(t: TriangleSpec) -> FoldedGraph:
     """Fold the plane triangulation geometrically; no group theory involved.
 
@@ -211,99 +235,51 @@ def fold_construction(t: TriangleSpec) -> FoldedGraph:
     up (i, j) to down (p1-1-i, p2-1-j); since every reflection-plus-translation
     is an involution, each orbit holds exactly one up-coset, so the up-coset
     representative in the Hermite box [0, a) x [0, c) indexes the orbit
-    directly.  A grid edge joining two triangles of the same orbit folds onto
-    itself and becomes a semiedge.
+    directly.  Up (i, j) borders down (i, j), (i-1, j) and (i, j-1), whose
+    orbits are those of their up-partners reduced into the box; the fold is
+    that (3, a, c) index array, computed for all cells at once.
     """
     a, b, c = _hermite_basis(t)
-    p1m = t.p1 - 1
-    p2m = t.p2 - 1
-
-    reps = tuple((i, j) for i in range(a) for j in range(c))
-    incidence: dict[tuple[int, int], int] = {}
-    semiedges: dict[int, int] = {}
-    for i in range(a):
-        base = i * c
-        for j in range(c):
-            idx = base + j
-            # up-partners of the three neighbor down-triangles (i,j), (i-1,j), (i,j-1),
-            # reduced into the box
-            for x, y in ((p1m - i, p2m - j), (p1m - i + 1, p2m - j), (p1m - i, p2m - j + 1)):
-                beta = y // c
-                nidx = ((x - beta * b) % a) * c + (y - beta * c)
-                if nidx == idx:
-                    semiedges[idx] = semiedges.get(idx, 0) + 1
-                else:
-                    key = (idx, nidx)
-                    incidence[key] = incidence.get(key, 0) + 1
-
-    edges: dict[tuple[int, int], int] = {}
-    for (i, j2), m in incidence.items():
-        if incidence.get((j2, i)) != m:
-            raise InvariantViolation(f"asymmetric fold incidence for {t.as_tuple()}")
-        if i < j2:
-            edges[(i, j2)] = m
-    return FoldedGraph(spec=t, reps=reps, edges=edges, semiedges=semiedges)
+    x = (t.p1 - 1 - np.arange(a)[:, None]) + _PARTNER_DX
+    beta, y = np.divmod((t.p2 - 1 - np.arange(c)) + _PARTNER_DY, c)
+    return FoldedGraph(t, ((x - beta * b) % a) * c + y)
 
 
 def verify_isomorphism(folded: FoldedGraph, q: QuotientMap, s: SumSet) -> bool:
     """Check that labelling orbits by the quotient map carries the folded graph
-    exactly onto CayS(Z^2/L, S): labels biject onto the group, every folded
-    edge multiplicity equals the multiplicity of label(x) + label(y) in S, and
-    semiedge counts equal the multiplicity of 2 label(x)."""
-    group = q.group
-    if folded.n_vertices != group.order:
-        return False
-    labels = folded.labels(q)
-    if len(set(labels)) != group.order:
-        return False
-    target = list(s.elements)
-    sums: list[list[Element]] = [[] for _ in labels]
-    add = group.add
-    for (i, j), m in folded.edges.items():
-        value = add(labels[i], labels[j])
-        for _ in range(m):
-            sums[i].append(value)
-            sums[j].append(value)
-    double = group.double
-    for i, m in folded.semiedges.items():
-        value = double(labels[i])
-        for _ in range(m):
-            sums[i].append(value)
-    return all(sorted(lst) == target for lst in sums)
+    exactly onto CayS(Z^2/L, S): labels biject onto the group, and the three
+    label sums label(x) + label(y) over the neighbours y of every orbit x (a
+    semiedge gives 2 label(x)) are S as a multiset.
 
-
-def _fold_matches(t: TriangleSpec, q: QuotientMap, s: SumSet) -> bool:
-    """Array form of fold_construction + verify_isomorphism for bulk sweeps.
-
-    Labels every orbit of the Hermite box at once, gathers each orbit's three
-    incident orbits as one (3, n) index array (the cell itself for a
-    semiedge, contributing 2 label), and compares the sorted label sums of
-    every orbit against S, with labels packed mixed-radix into single ints.
-    The reflection being an involution makes the incidence relation
-    symmetric automatically.
+    Labels are (i, j) @ R mod M for the rows R of the quotient map, packed
+    mixed-radix into single ints; packing preserves lexicographic order, so
+    each orbit's sorted packed sums compare directly against the sorted S.
+    The reflection being an involution makes the incidence symmetric, so
+    edge multiplicities need no separate check.
     """
-    a, b, c = _hermite_basis(t)
+    _, a, c = folded.neighbours.shape
     n = a * c
     moduli = q.group.moduli
     if n != q.group.order or len(s.elements) != 3:
         return False
     rank = len(moduli)
     m = np.array(moduli, dtype=np.int64)
-    rows = np.array([row for row, _ in q._active_rows], dtype=np.int64)
+    rows = np.array([row for row, _ in q._active_rows], dtype=np.int64).reshape(rank, 2)
     radix = np.array([math.prod(moduli[k + 1 :]) for k in range(rank)], dtype=np.int64)
-    i, j = np.divmod(np.arange(n), c)
-    labels = (np.stack((i, j), axis=1) @ rows.reshape(rank, 2).T) % m
-    # up-partners of the down-triangles (i, j), (i-1, j), (i, j-1), reduced into the box
-    x = (t.p1 - 1 - i) + np.array([[0], [1], [0]])
-    y = (t.p2 - 1 - j) + np.array([[0], [0], [1]])
-    beta, y = np.divmod(y, c)
-    nidx = ((x - beta * b) % a) * c + y
-    sums = ((labels + labels[nidx]) % m) @ radix
+    labels = (np.indices((a, c)).reshape(2, n).T @ rows.T) % m
+    sums = ((labels + labels[folded.neighbours.reshape(3, n)]) % m) @ radix
     sums.sort(axis=0)
     # S is stored sorted, and packing preserves lexicographic order
     target = np.array(s.elements, dtype=np.int64).reshape(3, rank) @ radix
     bijective = np.bincount(labels @ radix, minlength=n).max() == 1
     return bool(bijective and (sums == target[:, None]).all())
+
+
+def _fold_matches(t: TriangleSpec, q: QuotientMap, s: SumSet) -> bool:
+    """The fold cross-check of verify_spec: fold_construction, then
+    verify_isomorphism.  A module-level name taking the spec first, so a
+    tracer can wrap the per-spec fold check."""
+    return verify_isomorphism(fold_construction(t), q, s)
 
 
 @dataclass(frozen=True)
@@ -321,17 +297,11 @@ class FullereneReport:
     case: str
     spectral_radius: float
 
-    def full_spectrum(self) -> list[float]:
-        """The complete eigenvalue multiset, descending."""
-        values = [float(v) for v in self.unmatched_raw]
-        for p in self.paired:
-            values.append(p)
-            values.append(-p)
-        values.sort(reverse=True)
-        return values
+    # reads only unmatched_raw and paired, which a report shares with a partition
+    full_spectrum = SpectrumPartition.full
 
 
-def _pipeline(t: TriangleSpec) -> tuple[QuotientMap, SumSet, SpectrumPartition, FaceCensus]:
+def _pipeline(t: TriangleSpec) -> tuple[QuotientMap, SumSet, FullereneReport]:
     q, s = group_and_sumset(t)
     trace = total_semiedge_count(q.group, s)
     part = sum_set_spectrum(q.group, s, trace)
@@ -357,27 +327,21 @@ def _pipeline(t: TriangleSpec) -> tuple[QuotientMap, SumSet, SpectrumPartition, 
             f"canonical unmatched multiset {part.unmatched_canonical} != {expected} "
             f"for case {case}, spec {t.as_tuple()}"
         )
-    return q, s, part, census
-
-
-def _report(
-    t: TriangleSpec, q: QuotientMap, s: SumSet, part: SpectrumPartition, census: FaceCensus
-) -> FullereneReport:
     raw = part.unmatched_raw
     # paired is descending, so its head is the largest magnitude
     radius = max(max(abs(v) for v in raw), part.paired[0] if part.paired else 0.0)
-    return FullereneReport(
+    return q, s, FullereneReport(
         spec=t,
         moduli=q.group.moduli,
         sum_set=s.elements,
-        n_vertices=q.group.order,
+        n_vertices=n,
         semiedges=census.semiedges,
         f3=census.f3,
         f6=census.f6,
         unmatched_raw=raw,
         unmatched_canonical=part.unmatched_canonical,
         paired=part.paired,
-        case=CASE_TABLE[census.semiedges][0],
+        case=case,
         spectral_radius=float(radius),
     )
 
@@ -385,16 +349,16 @@ def _report(
 def classify(t: TriangleSpec) -> FullereneReport:
     """Derive the group, sum set and spectrum, check the counting and spectral
     invariants, and report."""
-    return _report(t, *_pipeline(t))
+    return _pipeline(t)[2]
 
 
 def verify_spec(t: TriangleSpec) -> FullereneReport:
     """classify() plus the geometric cross-check: the folded triangulation must
     be isomorphic (via the quotient labelling) to the Cayley sum graph."""
-    q, s, part, census = _pipeline(t)
+    q, s, report = _pipeline(t)
     if not _fold_matches(t, q, s):
         raise InvariantViolation(f"fold does not match the Cayley sum graph for {t.as_tuple()}")
-    return _report(t, q, s, part, census)
+    return report
 
 
 def enumerate_specs(max_index: int) -> Iterator[TriangleSpec]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cagespec import spectra
-from cagespec.cli import main
+from cagespec.cli import SPECTRUM_MAX_ORDER, main
 
 GOLDEN_LATTICE = "[[6, -2], [2, 6]]"
 
@@ -130,6 +130,13 @@ def test_spectrum_csv_format(capsys):
         (["spectrum"], '{"moduli": [3], "sum_set": [[5]]}'),
         (["spectrum"], '{"moduli": [0], "sum_set": [[0]]}'),
         (["snf", "[[true]]"], None),
+        # non-integer moduli and coordinates, which int() used to coerce
+        (["spectrum"], '{"moduli": [2.5], "sum_set": [[0], [1], [1]]}'),
+        (["spectrum"], '{"moduli": [true, 3], "sum_set": [[0], [1], [2]]}'),
+        (["spectrum"], '{"moduli": ["4"], "sum_set": [["1"], [2.9], [3]]}'),
+        # groups too large for the dense eigensolver check
+        (["spectrum"], '{"moduli": [1000000], "sum_set": [[0], [1], [2]]}'),
+        (["spectrum", "--spec", f"{SPECTRUM_MAX_ORDER + 1},0,0,1,0,0"], None),
     ],
 )
 def test_malformed_input_exits_2(argv, stdin_text, capsys, monkeypatch):
@@ -153,6 +160,17 @@ def test_fold_reports_isomorphism(capsys):
     assert payload["matches_cayley"] is True
     assert payload["n_vertices"] == 4
     assert payload["semiedges"] == {}
+    # a fold with semiedges, against its exact payload
+    code, out, _ = run_cli(["fold", "--spec", "1,0,0,2,0,1"], capsys)
+    assert code == 0
+    assert json.loads(out) == {
+        "spec": [1, 0, 0, 2, 0, 1],
+        "n_vertices": 2,
+        "reps": [[0, 0], [0, 1]],
+        "edges": [[0, 1, 1]],
+        "semiedges": {"0": 2, "1": 2},
+        "matches_cayley": True,
+    }
 
 
 # --- census ------------------------------------------------------------------
@@ -227,6 +245,14 @@ def test_census_parallel_matches_serial(capsys):
     code, parallel, _ = run_cli(["census", "--max-index", "3", "--jobs", "2"], capsys)
     assert code == 0
     assert parallel == serial
+    code, serial, serial_err = run_cli(["census", "--max-index", "12", "--dedup"], capsys)
+    assert code == 0
+    code, parallel, parallel_err = run_cli(
+        ["census", "--max-index", "12", "--dedup", "--jobs", "2"], capsys
+    )
+    assert code == 0
+    assert parallel == serial
+    assert parallel_err == serial_err
 
 
 def test_census_jobs_env_fallback(capsys, monkeypatch):
@@ -255,6 +281,9 @@ def test_verify_sweep_summary(capsys):
     assert code == 0
     assert "verified 132 specs (max index 6)" in out
     assert "violations: 0" in out
+    code, parallel, _ = run_cli(["verify", "--max-index", "6", "--jobs", "2"], capsys)
+    assert code == 0
+    assert parallel == out
 
 
 def test_verify_reports_a_spectrum_check_failure_as_exit_3(capsys, monkeypatch):
