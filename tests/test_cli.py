@@ -173,6 +173,26 @@ def test_fold_reports_isomorphism(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--spec", "-2,3,3,2,0,0"],
+        ["fold", "--spec", "-2,3,3,2,0,0"],
+        ["spectrum", "--spec", "-2,3,3,2,0,0"],
+        ["verify", "--spec", "-2,3,3,2,0,0"],
+        ["crystal", "--family", "diamond", "--d", "2", "--sublattice", "-2,1,0,3"],
+        ["crystal", "--family", "diamond", "--d", "2", "--sub", "-2,1,0,3"],
+    ],
+)
+def test_list_value_may_start_with_a_minus_sign(argv, capsys):
+    # argparse alone reads "-2,3,..." after the flag as an unknown option
+    code, spaced, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, attached, _ = run_cli(argv[:-2] + [f"{argv[-2]}={argv[-1]}"], capsys)
+    assert code == 0
+    assert spaced == attached
+
+
 # --- census ------------------------------------------------------------------
 
 def test_census_unit_index(capsys):

@@ -22,6 +22,7 @@ from cagespec.spectra import (
     spectrum_is_paired,
     sum_set_spectrum,
 )
+from cagespec.spectra import _round_robin
 
 RNG_SEED = 0x5EC7
 
@@ -177,6 +178,42 @@ def test_numeric_spectrum_matches_numpy():
         reference = sorted(np.linalg.eigvalsh(a).tolist(), reverse=True)
         assert len(ours) == n
         assert max(abs(x - y) for x, y in zip(ours, reference)) < 1e-9
+
+
+def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once():
+    for n in range(2, 34):
+        p, q = _round_robin(n)
+        assert p.shape == q.shape == (n - 1 + n % 2, n // 2)
+        for round_p, round_q in zip(p, q):
+            seats = np.concatenate((round_p, round_q)).tolist()
+            assert len(set(seats)) == len(seats)
+        pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+        assert pairs == list(itertools.combinations(range(n), 2))
+
+
+def assert_matches_eigvalsh(a, **kwargs):
+    ours = numeric_spectrum(a, **kwargs)
+    reference = sorted(np.linalg.eigvalsh(a).tolist(), reverse=True)
+    assert len(ours) == len(reference)
+    assert max(abs(x - y) for x, y in zip(ours, reference)) < 1e-9
+    return ours
+
+
+def test_numeric_spectrum_edge_cases():
+    rng = np.random.default_rng(RNG_SEED + 2)
+    # nothing to rotate: the first off-norm test returns, so one sweep suffices
+    tiny = rng.uniform(-0.5, 0.5, size=(6, 6)) * EIGENSOLVER_TOL / 6
+    below_threshold = np.diag(np.arange(6.0)) + tiny + tiny.T
+    for a in (np.zeros((5, 5)), np.diag([3.0, -1.0, 0.0, 2.5, -1.0]), below_threshold):
+        assert_matches_eigvalsh(a, max_sweeps=1)
+    # complete graphs: equal diagonals (tau = 0) and eigenvalue -1 of multiplicity n - 1
+    for n in (7, 8):
+        ours = assert_matches_eigvalsh(np.ones((n, n)) - np.eye(n))
+        assert max(abs(x - y) for x, y in zip(ours, [n - 1.0] + [-1.0] * (n - 1))) < 1e-9
+    # even and odd orders past the sizes the random test draws
+    for n in (64, 65):
+        a = rng.integers(-5, 6, size=(n, n)).astype(float)
+        assert_matches_eigvalsh(a + a.T)
 
 
 def test_numeric_spectrum_input_validation():
