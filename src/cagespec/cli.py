@@ -62,10 +62,10 @@ _CENSUS_HEADER = [
 
 _CHUNK = 256
 
-# Largest group order `spectrum` accepts.  Its numeric check diagonalizes the
-# dense n x n adjacency matrix with the round-robin Jacobi solver: 0.24-0.39 s
-# at order 200, 3.1-4.6 s at 400 and 12-16 s at 512 (Z_n and Z_2 x Z_n/2
-# folds, one core of a 2-vCPU VM, Python 3.11, numpy 2.4).
+# Largest group order `spectrum` accepts.  Its numeric check finds every
+# eigenvalue of the dense n x n adjacency matrix by Householder + Sturm
+# multisection: 0.04 s at order 200, 0.10-0.13 s at 400 and 0.22 s at 512
+# (Z_n and Z_2 x Z_n/2 folds, one core of a 2-vCPU VM, Python 3.11, numpy 2.4).
 SPECTRUM_MAX_ORDER = 400
 
 
@@ -202,8 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", parents=[common], help="verify the spectral invariants and the fold isomorphism"
     )
-    p.add_argument("--max-index", type=_positive_int, default=None)
-    p.add_argument("--spec", type=_spec_arg, default=None, metavar="p,q,r,s,p1,p2")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--max-index", type=_positive_int, default=None)
+    target.add_argument("--spec", type=_spec_arg, default=None, metavar="p,q,r,s,p1,p2")
     p.set_defaults(func=_cmd_verify, default_format="json", formats=("json", "human"))
 
     p = sub.add_parser("crystal", parents=[common], help="path, grid or diamond crystal families")
@@ -452,8 +453,6 @@ def _cmd_verify(args, config: RunConfig) -> int:
         report = verify_spec(TriangleSpec(*args.spec))
         _emit_json(_report_payload(report), args.fmt)
         return 0
-    if args.max_index is None:
-        raise _UsageError("verify needs --max-index or --spec")
     cases = sum(_sweep(_verify_chunk, args.max_index, config.jobs), Counter())
     total = sum(cases.values())
     case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
@@ -463,33 +462,38 @@ def _cmd_verify(args, config: RunConfig) -> int:
 
 def _cmd_crystal(args, config: RunConfig) -> int:
     family = args.family
-    if family == "path":
-        if args.d not in (None, 1):
-            raise _UsageError("the path family is 1-dimensional")
-        if len(args.sublattice) != 1:
-            raise _UsageError("path: --sublattice expects the single integer n")
-        if args.a_choice is not None:
-            raise _UsageError("--a-choice does not apply to the path family")
-        spec = path_family(args.sublattice[0])
-        a_choice = None
-    else:
-        d = args.d
-        if d is None:
-            raise _UsageError(f"--d is required for the {family} family")
-        entries = args.sublattice
-        if len(entries) != d * d:
-            raise _UsageError(
-                f"--sublattice expects {d * d} integers (row-major {d}x{d}), got {len(entries)}"
-            )
-        sub = IntMatrix.from_rows([list(entries[i * d : (i + 1) * d]) for i in range(d)])
-        if family == "grid":
+    try:
+        if family == "path":
+            if args.d not in (None, 1):
+                raise _UsageError("the path family is 1-dimensional")
+            if len(args.sublattice) != 1:
+                raise _UsageError("path: --sublattice expects the single integer n")
             if args.a_choice is not None:
-                raise _UsageError("--a-choice applies to the diamond family only")
-            spec = grid_family(d, sub)
-            a_choice = "edge"
+                raise _UsageError("--a-choice does not apply to the path family")
+            spec = path_family(args.sublattice[0])
+            a_choice = None
         else:
-            a_choice = args.a_choice or "corner"
-            spec = diamond_family(d, sub, a_choice)
+            d = args.d
+            if d is None:
+                raise _UsageError(f"--d is required for the {family} family")
+            entries = args.sublattice
+            if len(entries) != d * d:
+                raise _UsageError(
+                    f"--sublattice expects {d * d} integers (row-major {d}x{d}), got {len(entries)}"
+                )
+            sub = IntMatrix.from_rows([list(entries[i * d : (i + 1) * d]) for i in range(d)])
+            if family == "grid":
+                if args.a_choice is not None:
+                    raise _UsageError("--a-choice applies to the diamond family only")
+                spec = grid_family(d, sub)
+                a_choice = "edge"
+            else:
+                a_choice = args.a_choice or "corner"
+                spec = diamond_family(d, sub, a_choice)
+    except DegenerateLatticeError:
+        raise  # a singular sublattice is a mathematical failure: exit 3
+    except ValueError as exc:  # the family rejects its arguments
+        raise _UsageError(str(exc)) from exc
     q, s, graph = crystal_cayley(spec)
     part = character_spectrum(graph)
     payload = {

@@ -120,9 +120,9 @@ def test_exhaustive_sweep_to_index_200_has_no_violations(capsys):
 
 def test_character_spectra_agree_with_blind_numerics_on_random_groups():
     # 100 seeded (group, sum set) pairs, orders up to 400, sum sets up to
-    # size 5: exact-character spectra vs the group-blind Jacobi solver,
-    # residuals and orthonormality of the assembled eigenbasis, and the
-    # square identity A^2 = A(Cay(G, S - S))
+    # size 5: exact-character spectra vs the group-blind Householder + Sturm
+    # multisection solver, residuals and orthonormality of the assembled
+    # eigenbasis, and the square identity A^2 = A(Cay(G, S - S))
     rng = random.Random(0xACCE)
     bands = [(1, 60)] * 6 + [(61, 160)] * 3 + [(161, 400)]
     for trial in range(100):

@@ -328,6 +328,13 @@ def test_verify_needs_a_target(capsys):
     assert "error" in err
 
 
+def test_verify_takes_either_spec_or_max_index(capsys):
+    code, out, err = run_cli(["verify", "--spec", "6,2,-2,6,1,0", "--max-index", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with" in err
+
+
 # --- crystal -----------------------------------------------------------------
 
 def test_crystal_path(capsys):
@@ -381,6 +388,17 @@ def test_crystal_usage_errors(capsys):
         ["crystal", "--family", "grid", "--d", "2", "--sublattice", "1,1,1,1"], capsys
     )
     assert code == 3  # singular sublattice
+    # arguments the family builders reject
+    identity_9 = ",".join("1" if i % 10 == 0 else "0" for i in range(81))
+    for argv, message in (
+        (["--family", "grid", "--d", "9", "--sublattice", identity_9], "dimension must be in 1..8"),
+        (["--family", "path", "--sublattice", "1"], "at least 2 vertices"),
+        (["--family", "diamond", "--d", "1", "--sublattice", "2"], "dimension >= 2"),
+    ):
+        code, out, err = run_cli(["crystal", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 # --- global behaviour --------------------------------------------------------

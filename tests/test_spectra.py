@@ -22,7 +22,6 @@ from cagespec.spectra import (
     spectrum_is_paired,
     sum_set_spectrum,
 )
-from cagespec.spectra import _round_robin
 
 RNG_SEED = 0x5EC7
 
@@ -180,17 +179,6 @@ def test_numeric_spectrum_matches_numpy():
         assert max(abs(x - y) for x, y in zip(ours, reference)) < 1e-9
 
 
-def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once():
-    for n in range(2, 34):
-        p, q = _round_robin(n)
-        assert p.shape == q.shape == (n - 1 + n % 2, n // 2)
-        for round_p, round_q in zip(p, q):
-            seats = np.concatenate((round_p, round_q)).tolist()
-            assert len(set(seats)) == len(seats)
-        pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
-        assert pairs == list(itertools.combinations(range(n), 2))
-
-
 def assert_matches_eigvalsh(a, **kwargs):
     ours = numeric_spectrum(a, **kwargs)
     reference = sorted(np.linalg.eigvalsh(a).tolist(), reverse=True)
@@ -214,6 +202,72 @@ def test_numeric_spectrum_edge_cases():
     for n in (64, 65):
         a = rng.integers(-5, 6, size=(n, n)).astype(float)
         assert_matches_eigvalsh(a + a.T)
+
+
+def test_numeric_spectrum_is_accurate_at_every_scale():
+    # the stopping width must grow with |lambda|: at scale 1e3 and above an
+    # interval cannot shrink below tol = 1e-12, since eps * |lambda| exceeds it
+    rng = np.random.default_rng(RNG_SEED + 4)
+    a = rng.integers(-5, 6, size=(12, 12)).astype(float)
+    a = a + a.T
+    for scale in (1e-6, 1.0, 1e3, 1e6, 1e12):
+        ours = numeric_spectrum(a * scale)
+        reference = sorted(np.linalg.eigvalsh(a * scale).tolist(), reverse=True)
+        # relative to the spectral radius, and absolute below 1 (tol is absolute)
+        bound = 1e-12 * max(1.0, abs(reference[0]), abs(reference[-1]))
+        assert max(abs(x - y) for x, y in zip(ours, reference)) <= bound
+
+
+def test_numeric_spectrum_of_block_diagonal_matrix():
+    # blocks decouple under Householder, so the tridiagonal form has zero
+    # subdiagonal entries (steps with a zero reflector are skipped), and the
+    # eigenvalues repeat across equal blocks.  The blocks [3] and [-3] make
+    # the Gershgorin interval [-3, 3], whose midpoint 0 is tested in the
+    # first pass against the leading block [0]: a zero pivot followed by a
+    # zero subdiagonal entry
+    path = np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+    cycle = np.roll(np.eye(4), 1, axis=1) + np.roll(np.eye(4), -1, axis=1)
+    blocks = [[[0.0]], [[3.0]], [[-3.0]], path, cycle, path, cycle]
+    a = np.zeros((17, 17))
+    at = 0
+    for block in blocks:
+        size = len(block)
+        a[at : at + size, at : at + size] = block
+        at += size
+    root2 = 2.0**0.5
+    expected = [3.0, 2.0, 2.0, root2, root2] + [0.0] * 7 + [-root2, -root2, -2.0, -2.0, -3.0]
+    ours = assert_matches_eigvalsh(a)
+    assert max(abs(x - y) for x, y in zip(ours, expected)) < 1e-12
+
+
+def test_numeric_spectrum_on_order_400_folds():
+    for spec in (TriangleSpec(400, 0, 0, 1, 0, 0), TriangleSpec(2, 0, 0, 200, 0, 0)):
+        q, s = group_and_sumset(spec)
+        a = cayley_sum_graph(q.group, s).adjacency_matrix().astype(float)
+        ours = numeric_spectrum(a)
+        reference = sorted(np.linalg.eigvalsh(a).tolist(), reverse=True)
+        assert len(ours) == 400
+        assert max(abs(x - y) for x, y in zip(ours, reference)) <= 1e-12
+
+
+def test_numeric_spectrum_of_negated_adjacency_matrix():
+    # -A of a zero-diagonal matrix has -0.0 on its diagonal.  For -[[0, 1],
+    # [1, 0]] the Gershgorin interval [-1, 1] puts a test point at +0.0, so
+    # the Sturm recurrence meets a pivot of -0.0 in the first pass; the
+    # loop-free cubic folds carry the signed zeros through Householder
+    folds = [
+        TriangleSpec(2, 0, 0, 6, 0, 0),
+        TriangleSpec(6, 0, 4, 2, 0, 0),
+        TriangleSpec(2, 0, 0, 20, 0, 0),
+    ]
+    matrices = [np.array([[0.0, 1.0], [1.0, 0.0]])]
+    for spec in folds:
+        q, s = group_and_sumset(spec)
+        matrices.append(cayley_sum_graph(q.group, s).adjacency_matrix().astype(float))
+    for a in matrices:
+        assert not np.diagonal(a).any()
+        assert np.signbit(np.diagonal(-a)).all()
+        assert_matches_eigvalsh(-a)
 
 
 def test_numeric_spectrum_input_validation():
