@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .intlinalg import IntMatrix, snf
 
 __all__ = [
@@ -31,6 +33,10 @@ class FiniteAbelianGroup:
 
     Moduli equal to 1 are dropped at construction.  The trivial group has an
     empty modulus tuple and a single element, the empty tuple.
+
+    This class owns the package's element-index convention, row-major
+    (lexicographic) rank: index_of and element_tuple apply it to one element,
+    labels and indices to whole arrays, and no other module re-derives it.
     """
 
     moduli: tuple[int, ...]
@@ -76,6 +82,19 @@ class FiniteAbelianGroup:
         for c, n in zip(x, self.moduli):
             idx = idx * n + c
         return idx
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """All elements, in index_of order, as columns of a read-only (rank, order) int64 array."""
+        labels = np.indices(self.moduli, dtype=np.int64).reshape(self.rank, self.order)
+        labels.flags.writeable = False
+        return labels
+
+    def indices(self, coords: np.ndarray) -> np.ndarray:
+        """index_of of every column of a (rank, N) integer array, reduced mod the moduli first."""
+        if not self.moduli:  # ravel_multi_index would return a scalar
+            return np.zeros(coords.shape[1], dtype=np.int64)
+        return np.ravel_multi_index(tuple(coords), self.moduli, mode="wrap")
 
     def reduce(self, vector) -> Element:
         """Reduce an arbitrary integer vector componentwise into the group."""

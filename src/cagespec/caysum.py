@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -89,39 +90,36 @@ class CaySumGraph:
         return deg
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric integer adjacency; diagonal holds semiedge counts."""
-        n = self.group.order
-        a = np.zeros((n, n), dtype=np.int64)
-        index = self.group.index_of
-        for (u, v), m in self.edges.items():
-            i, j = index(u), index(v)
-            a[i, j] = m
-            a[j, i] = m
-        for u, m in self.semiedges.items():
-            i = index(u)
-            a[i, i] = m
+        """Dense symmetric integer adjacency; diagonal holds semiedge counts.
+        Row u holds mult(g) at column g - u for each distinct g in S."""
+        group = self.group
+        a = np.zeros((group.order, group.order), dtype=np.int64)
+        rows = np.arange(group.order)
+        for g, m in self.sum_set.counts.items():
+            a[rows, group.indices(np.array(g, dtype=np.int64)[:, None] - group.labels)] = m
         return a
 
 
 def cayley_sum_graph(group: FiniteAbelianGroup, s: SumSet) -> CaySumGraph:
     """Build CayS(group, s).
 
-    Adjacency is generated per vertex from v = g - u over the distinct values
-    g of the sum set, so construction is O(|group| * |s|).
+    One index array per distinct g in s gives the neighbour v = g - u of
+    every vertex u, in O(|group| * |s|); index order is lexicographic, so
+    u < v compares indices.
     """
     if s.group != group:
         raise ValueError("sum set belongs to a different group")
-    moduli = group.moduli
-    items = list(s.counts.items())
+    elements = group.element_tuple
+    vertices = np.arange(group.order)
     edges: dict[tuple[Element, Element], int] = {}
     semiedges: dict[Element, int] = {}
-    for u in group.element_tuple:
-        for g, m in items:
-            v = tuple((a - b) % n for a, b, n in zip(g, u, moduli))
-            if v == u:
-                semiedges[u] = m
-            elif u < v:
-                edges[(u, v)] = m
+    for g, m in s.counts.items():
+        v = group.indices(np.array(g, dtype=np.int64)[:, None] - group.labels)
+        for i in (v == vertices).nonzero()[0].tolist():
+            semiedges[elements[i]] = m
+        upper = vertices < v
+        for i, j in zip(vertices[upper].tolist(), v[upper].tolist()):
+            edges[(elements[i], elements[j])] = m
     return CaySumGraph(group=group, sum_set=s, edges=edges, semiedges=semiedges)
 
 
@@ -161,14 +159,10 @@ def cayley_graph(group: FiniteAbelianGroup, connection: SumSet) -> np.ndarray:
     negated = Counter({group.neg(g): m for g, m in counts.items()})
     if negated != counts:
         raise ValueError("connection multiset is not symmetric under negation")
-    n = group.order
-    a = np.zeros((n, n), dtype=np.int64)
-    index = group.index_of
-    for u in group.element_tuple:
-        i = index(u)
-        for g, m in counts.items():
-            v = group.sub(u, g)
-            a[i, index(v)] = m
+    a = np.zeros((group.order, group.order), dtype=np.int64)
+    rows = np.arange(group.order)
+    for g, m in counts.items():
+        a[rows, group.indices(group.labels - np.array(g, dtype=np.int64)[:, None])] = m
     return a
 
 
@@ -188,22 +182,21 @@ def translate_sum_set(s: SumSet, t: Element) -> SumSet:
 
 def graph_to_json(graph: CaySumGraph) -> dict:
     """Wire format: moduli, sum_set, semiedges (by vertex index), edges [i, j, mult]."""
+    # sorting elements sorts their indices, which follow lexicographic order
     index = graph.group.index_of
-    edges = sorted((index(u), index(v), m) for (u, v), m in graph.edges.items())
-    semi = {str(index(u)): m for u, m in graph.semiedges.items()}
     return {
         "moduli": list(graph.group.moduli),
         "sum_set": [list(x) for x in graph.sum_set.elements],
-        "semiedges": dict(sorted(semi.items(), key=lambda kv: int(kv[0]))),
-        "edges": [list(e) for e in edges],
+        "semiedges": {str(index(u)): m for u, m in sorted(graph.semiedges.items())},
+        "edges": [[index(u), index(v), m] for (u, v), m in sorted(graph.edges.items())],
     }
 
 
 def graph_from_json(obj: dict, max_order: int | None = None) -> CaySumGraph:
     """Rebuild a graph from its wire format; edge/semiedge fields, when present,
-    are validated against the reconstruction.  Moduli and sum-set coordinates
-    must be integers, and a group of order above max_order (when given) is
-    rejected before its graph is built."""
+    are validated against the reconstruction.  Moduli, sum-set coordinates and
+    edge/semiedge values must be integers, and a group of order above
+    max_order (when given) is rejected before its graph is built."""
     try:
         moduli = tuple(obj["moduli"])
         sum_elements = tuple(tuple(x) for x in obj["sum_set"])
@@ -221,11 +214,14 @@ def graph_from_json(obj: dict, max_order: int | None = None) -> CaySumGraph:
             given = obj[field]
             try:
                 if field == "edges":
-                    given = sorted([int(a), int(b), int(c)] for a, b, c in given)
+                    given = sorted([a, b, c] for a, b, c in given)
                 else:
-                    given = {str(k): int(v) for k, v in given.items()}
+                    given = {str(k): v for k, v in given.items()}
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ValueError(f"graph JSON field {field!r} is malformed: {exc}") from exc
+            values = chain.from_iterable(given) if field == "edges" else given.values()
+            if not all(type(x) is int for x in values):
+                raise ValueError(f"graph JSON field {field!r} must hold integers")
             if given != payload[field]:
                 raise ValueError(f"graph JSON field {field!r} is inconsistent with its sum set")
     return graph

@@ -69,8 +69,9 @@ _CHUNK = 256
 SPECTRUM_MAX_ORDER = 400
 
 
-class _UsageError(Exception):
-    """Bad input that argparse could not catch; mapped to exit code 2."""
+class _UsageError(ValueError):
+    """Bad input that argparse could not catch; mapped to exit code 2 like
+    every other ValueError except DegenerateLatticeError."""
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ def _resolve_jobs(cli_value: int | None) -> int:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise _UsageError(f"invalid JSON: {exc}") from exc
 
 
@@ -358,10 +359,7 @@ def _cmd_spectrum(args, config: RunConfig) -> int:
             raise _UsageError(f"group order {q.group.order} exceeds the limit {SPECTRUM_MAX_ORDER}")
         graph = cayley_sum_graph(q.group, s)
     else:
-        try:
-            graph = graph_from_json(_load_json(sys.stdin.read()), max_order=SPECTRUM_MAX_ORDER)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        graph = graph_from_json(_load_json(sys.stdin.read()), max_order=SPECTRUM_MAX_ORDER)
     part = character_spectrum(graph)
     numeric = numeric_spectrum(graph.adjacency_matrix().astype(float))
     ok = multiset_close(part.full(), numeric, config.match_tol)
@@ -462,38 +460,33 @@ def _cmd_verify(args, config: RunConfig) -> int:
 
 def _cmd_crystal(args, config: RunConfig) -> int:
     family = args.family
-    try:
-        if family == "path":
-            if args.d not in (None, 1):
-                raise _UsageError("the path family is 1-dimensional")
-            if len(args.sublattice) != 1:
-                raise _UsageError("path: --sublattice expects the single integer n")
+    if family == "path":
+        if args.d not in (None, 1):
+            raise _UsageError("the path family is 1-dimensional")
+        if len(args.sublattice) != 1:
+            raise _UsageError("path: --sublattice expects the single integer n")
+        if args.a_choice is not None:
+            raise _UsageError("--a-choice does not apply to the path family")
+        spec = path_family(args.sublattice[0])
+        a_choice = None
+    else:
+        d = args.d
+        if d is None:
+            raise _UsageError(f"--d is required for the {family} family")
+        entries = args.sublattice
+        if len(entries) != d * d:
+            raise _UsageError(
+                f"--sublattice expects {d * d} integers (row-major {d}x{d}), got {len(entries)}"
+            )
+        sub = IntMatrix.from_rows([list(entries[i * d : (i + 1) * d]) for i in range(d)])
+        if family == "grid":
             if args.a_choice is not None:
-                raise _UsageError("--a-choice does not apply to the path family")
-            spec = path_family(args.sublattice[0])
-            a_choice = None
+                raise _UsageError("--a-choice applies to the diamond family only")
+            spec = grid_family(d, sub)
+            a_choice = "edge"
         else:
-            d = args.d
-            if d is None:
-                raise _UsageError(f"--d is required for the {family} family")
-            entries = args.sublattice
-            if len(entries) != d * d:
-                raise _UsageError(
-                    f"--sublattice expects {d * d} integers (row-major {d}x{d}), got {len(entries)}"
-                )
-            sub = IntMatrix.from_rows([list(entries[i * d : (i + 1) * d]) for i in range(d)])
-            if family == "grid":
-                if args.a_choice is not None:
-                    raise _UsageError("--a-choice applies to the diamond family only")
-                spec = grid_family(d, sub)
-                a_choice = "edge"
-            else:
-                a_choice = args.a_choice or "corner"
-                spec = diamond_family(d, sub, a_choice)
-    except DegenerateLatticeError:
-        raise  # a singular sublattice is a mathematical failure: exit 3
-    except ValueError as exc:  # the family rejects its arguments
-        raise _UsageError(str(exc)) from exc
+            a_choice = args.a_choice or "corner"
+            spec = diamond_family(d, sub, a_choice)
     q, s, graph = crystal_cayley(spec)
     part = character_spectrum(graph)
     payload = {
@@ -523,11 +516,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = RunConfig(match_tol=args.tolerance, jobs=_resolve_jobs(args.jobs))
         return args.func(args, config)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateLatticeError, InvariantViolation, ConvergenceError, ValueError) as exc:
+    except (DegenerateLatticeError, InvariantViolation, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # an input check, _UsageError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0

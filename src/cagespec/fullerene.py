@@ -9,7 +9,6 @@ spectrum splits into a small unmatched multiset plus symmetric +- pairs.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -251,27 +250,25 @@ def verify_isomorphism(folded: FoldedGraph, q: QuotientMap, s: SumSet) -> bool:
     label sums label(x) + label(y) over the neighbours y of every orbit x (a
     semiedge gives 2 label(x)) are S as a multiset.
 
-    Labels are (i, j) @ R mod M for the rows R of the quotient map, packed
-    mixed-radix into single ints; packing preserves lexicographic order, so
-    each orbit's sorted packed sums compare directly against the sorted S.
+    Labels are R @ (i, j) for the rows R of the quotient map, reduced and
+    packed by the group's indices; index order is lexicographic, so each
+    orbit's sorted sum indices compare directly against the sorted S.
     The reflection being an involution makes the incidence symmetric, so
     edge multiplicities need no separate check.
     """
+    group = q.group
     _, a, c = folded.neighbours.shape
     n = a * c
-    moduli = q.group.moduli
-    if n != q.group.order or len(s.elements) != 3:
+    if n != group.order or len(s.elements) != 3:
         return False
-    rank = len(moduli)
-    m = np.array(moduli, dtype=np.int64)
+    rank = group.rank
     rows = np.array([row for row, _ in q._active_rows], dtype=np.int64).reshape(rank, 2)
-    radix = np.array([math.prod(moduli[k + 1 :]) for k in range(rank)], dtype=np.int64)
-    labels = (np.indices((a, c)).reshape(2, n).T @ rows.T) % m
-    sums = ((labels + labels[folded.neighbours.reshape(3, n)]) % m) @ radix
+    labels = rows @ np.indices((a, c)).reshape(2, n)
+    sums = labels[:, None, :] + labels[:, folded.neighbours.reshape(3, n)]
+    sums = group.indices(sums.reshape(rank, 3 * n)).reshape(3, n)
     sums.sort(axis=0)
-    # S is stored sorted, and packing preserves lexicographic order
-    target = np.array(s.elements, dtype=np.int64).reshape(3, rank) @ radix
-    bijective = np.bincount(labels @ radix, minlength=n).max() == 1
+    target = group.indices(np.array(s.elements, dtype=np.int64).reshape(3, rank).T)
+    bijective = np.bincount(group.indices(labels), minlength=n).max() == 1
     return bool(bijective and (sums == target[:, None]).all())
 
 
@@ -312,15 +309,13 @@ def _pipeline(t: TriangleSpec) -> tuple[QuotientMap, SumSet, FullereneReport]:
         raise InvariantViolation(f"group order {n} != lattice index {t.index} for {t.as_tuple()}")
     if trace != census.semiedges:
         raise InvariantViolation(
-            f"semiedge counts disagree (face census {census.semiedges}, "
-            f"adjacency trace {trace}) for {t.as_tuple()}"
+            f"s + f3 = 4 check failed: adjacency trace {trace} != 4 - f3 = "
+            f"{census.semiedges} (face census) for {t.as_tuple()}"
         )
     if census.semiedges not in CASE_TABLE:
         raise InvariantViolation(
             f"semiedge count {census.semiedges} outside {{0,2,3,4}} for {t.as_tuple()}"
         )
-    if census.semiedges + census.f3 != 4:
-        raise InvariantViolation(f"s + f3 != 4 for {t.as_tuple()}")
     case, expected = CASE_TABLE[census.semiedges]
     if part.unmatched_canonical != expected:
         raise InvariantViolation(

@@ -94,13 +94,14 @@ def _dft_layout(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the conjugate-pair representatives and of the involutive
     labels in the DFT array of a group with these (nonempty) moduli.
 
-    Lexicographic tuple order is row-major flat order, so the representative
-    of {a, -a} is the flat index k with k < neg[k], and a = -a iff k == neg[k].
+    The DFT array's flat order is the group's index order, so the
+    representative of {a, -a} is the flat index k with k < neg[k], and
+    a = -a iff k == neg[k].
     """
-    labels = np.indices(moduli).reshape(len(moduli), -1)
-    neg = np.ravel_multi_index(tuple((-labels) % np.array(moduli)[:, None]), moduli)
+    group = FiniteAbelianGroup(moduli)
+    neg = group.indices(-group.labels)
     k = np.arange(neg.size)
-    return np.flatnonzero(k < neg), np.flatnonzero(k == neg)
+    return (k < neg).nonzero()[0], (k == neg).nonzero()[0]
 
 
 def _character_dft(group: FiniteAbelianGroup, s: SumSet) -> np.ndarray:
@@ -109,14 +110,9 @@ def _character_dft(group: FiniteAbelianGroup, s: SumSet) -> np.ndarray:
     np.fft.fftn computes sum_x m[x] exp(-2 pi i a.x / n), which is the complex
     conjugate of chi_a(S); magnitudes and real values are unaffected.
     """
-    moduli = group.moduli
-    flat = []
+    mult = np.zeros(group.moduli, dtype=np.int64)
     for x in s.elements:
-        idx = 0
-        for c, n in zip(x, moduli):
-            idx = idx * n + c
-        flat.append(idx)
-    mult = np.bincount(flat, minlength=group.order).reshape(moduli)
+        mult[x] += 1
     return np.fft.fftn(mult).ravel()
 
 
@@ -254,7 +250,7 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
     """
     group = graph.group
     moduli = group.moduli
-    labels = np.indices(moduli).reshape(len(moduli), group.order)
+    labels = group.labels
     adjacency = graph.adjacency_matrix().astype(float)
     pairs: list[EigenPair] = []
 

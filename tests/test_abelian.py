@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from cagespec.abelian import (
@@ -56,6 +57,25 @@ def test_element_enumeration_is_lexicographic():
     )
     for i, x in enumerate(g.element_tuple):
         assert g.index_of(x) == i
+
+
+def test_labels_and_indices_follow_the_scalar_index():
+    rng = random.Random(RNG_SEED + 7)
+    groups = [FiniteAbelianGroup(())]
+    for rank in (1, 2, 3):
+        for _ in range(5):
+            groups.append(FiniteAbelianGroup(tuple(rng.randint(2, 6) for _ in range(rank))))
+    for g in groups:
+        assert g.labels.shape == (g.rank, g.order)
+        assert g.labels.dtype == np.int64
+        assert [tuple(col) for col in g.labels.T.tolist()] == list(g.element_tuple)
+        assert g.indices(g.labels).tolist() == list(range(g.order))
+        # columns off the fundamental box, negative ones included, reduce first
+        coords = [[rng.randint(-3 * n, 3 * n) for n in g.moduli] for _ in range(20)]
+        array = np.array(coords, dtype=np.int64).reshape(20, g.rank).T
+        assert g.indices(array).tolist() == [g.index_of(g.reduce(x)) for x in coords]
+    with pytest.raises(ValueError):
+        g.labels[0, 0] = 1  # shared by every caller, so read-only
 
 
 def test_reduce_and_contains():

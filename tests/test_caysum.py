@@ -48,6 +48,13 @@ def brute_adjacency(g: FiniteAbelianGroup, s: SumSet) -> np.ndarray:
     return a
 
 
+def brute_cayley(g: FiniteAbelianGroup, connection: SumSet) -> np.ndarray:
+    """All-pairs reference: entry (u, v) is the multiplicity of u - v."""
+    elems = g.element_tuple
+    rows = [[connection.multiplicity(g.sub(u, v)) for v in elems] for u in elems]
+    return np.array(rows, dtype=np.int64)
+
+
 def test_sum_set_is_sorted_multiset():
     g = FiniteAbelianGroup((2, 3))
     s = SumSet(g, ((1, 2), (0, 1), (1, 2)))
@@ -158,6 +165,28 @@ def test_difference_set_is_symmetric_with_square_size():
         diff = sum_set_difference(s)
         assert diff.size == s.size * s.size
         assert sorted(diff.elements) == sorted(g.neg(x) for x in diff.elements)
+
+
+def test_cayley_graph_matches_all_pairs_oracle():
+    rng = random.Random(RNG_SEED + 8)
+    for _ in range(30):
+        g = random_group(rng)
+        connection = sum_set_difference(random_sum_set(rng, g, max_size=3))
+        assert np.array_equal(cayley_graph(g, connection), brute_cayley(g, connection))
+
+
+@pytest.mark.parametrize(
+    "moduli, elements",
+    [((), ()), ((), ((),)), ((), ((), ())), ((6,), ()), ((2, 3), ())],
+)
+def test_trivial_group_and_empty_sum_set(moduli, elements):
+    g = FiniteAbelianGroup(moduli)
+    s = SumSet(g, elements)
+    graph = cayley_sum_graph(g, s)
+    assert graph.edges == {}
+    assert graph.semiedges == ({(): s.size} if s.size else {})
+    assert np.array_equal(graph.adjacency_matrix(), brute_adjacency(g, s))
+    assert np.array_equal(cayley_graph(g, s), brute_cayley(g, s))
 
 
 def test_cayley_graph_requires_symmetric_connection_set():

@@ -3,12 +3,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from cagespec import spectra
 from cagespec.cli import SPECTRUM_MAX_ORDER, main
@@ -137,6 +140,13 @@ def test_spectrum_csv_format(capsys):
         # groups too large for the dense eigensolver check
         (["spectrum"], '{"moduli": [1000000], "sum_set": [[0], [1], [2]]}'),
         (["spectrum", "--spec", f"{SPECTRUM_MAX_ORDER + 1},0,0,1,0,0"], None),
+        # JSON nested too deep for the parser
+        (["snf", "[" * 100000], None),
+        (["spectrum"], "[" * 100000),
+        # non-integer edge values, which int() used to coerce
+        (["spectrum"], '{"moduli": [2], "sum_set": [[1]], "edges": [[0, 1, 1.9]]}'),
+        (["spectrum"], '{"moduli": [2], "sum_set": [[1]], "edges": [["0", "1", "1"]]}'),
+        (["spectrum"], '{"moduli": [2], "sum_set": [[1]], "edges": [[false, true, true]]}'),
     ],
 )
 def test_malformed_input_exits_2(argv, stdin_text, capsys, monkeypatch):
@@ -144,6 +154,59 @@ def test_malformed_input_exits_2(argv, stdin_text, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+_small = st.integers(min_value=-5, max_value=5)
+_json_scalar = st.one_of(st.integers(-3, 12), st.floats(-3, 3), st.booleans(), st.text(max_size=2))
+
+
+def _square(n: int):
+    return st.lists(st.lists(_small, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _graph_json(moduli: list[int]):
+    # each coordinate is in range for its modulus but for the two ends
+    element = st.tuples(*(st.integers(-1, max(n, 0)) for n in moduli)).map(list)
+    return st.fixed_dictionaries(
+        {"moduli": st.just(moduli), "sum_set": st.lists(element, max_size=4)},
+        optional={
+            "edges": st.lists(st.lists(_json_scalar, max_size=4), max_size=3),
+            "semiedges": st.dictionaries(st.text("0123", max_size=2), _json_scalar, max_size=3),
+        },
+    )
+
+
+# group orders stay at most 60: spec entries in [-5, 5] give |det| <= 50,
+# and graph JSON moduli are filtered on their product
+_cli_calls = st.one_of(
+    st.one_of(
+        st.integers(1, 3).flatmap(_square),
+        st.lists(st.lists(_small, max_size=3), max_size=3),
+    ).map(lambda rows: (["snf", json.dumps(rows)], None)),
+    st.tuples(
+        st.sampled_from(["construct", "fold", "spectrum", "verify"]),
+        st.one_of(st.lists(_small, min_size=6, max_size=6), st.lists(_small, max_size=8)),
+    ).map(lambda c: ([c[0], "--spec", ",".join(map(str, c[1]))], None)),
+    st.lists(st.integers(-1, 7), max_size=3)
+    .filter(lambda m: math.prod(m) <= 60)
+    .flatmap(_graph_json)
+    .map(lambda obj: (["spectrum"], json.dumps(obj))),
+    st.one_of(_json_scalar.map(json.dumps), st.text(max_size=6)).map(lambda t: (["spectrum"], t)),
+)
+
+
+@seed(0xC11)
+@settings(
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(call=_cli_calls)
+def test_any_input_exits_with_a_documented_code(call, capsys, monkeypatch):
+    argv, stdin_text = call
+    code, _, err = run_cli(argv, capsys, monkeypatch, stdin_text)
+    assert code in (0, 2, 3)
     assert "Traceback" not in err
 
 
