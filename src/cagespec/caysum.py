@@ -4,7 +4,8 @@ In a Cayley sum graph two distinct vertices u, v are joined iff u + v lies in
 the connection multiset S, with edge multiplicity equal to the multiplicity of
 u + v in S.  A vertex u carries a semiedge (a dangling half-edge, not a loop)
 for each copy of 2u in S; semiedges contribute 1 to the degree and sit on the
-adjacency diagonal.
+adjacency diagonal.  A graph is stored as its neighbour-index array (the fold
+of fullerene.py too), and one routine reads edges and semiedges off it.
 """
 
 from __future__ import annotations
@@ -56,71 +57,101 @@ class SumSet:
         return self.counts.get(tuple(x), 0)
 
 
-@dataclass(frozen=True)
-class CaySumGraph:
-    """A Cayley sum graph with explicit edge multiplicities and semiedge counts.
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed for a constructed graph."""
 
-    edges maps unordered vertex pairs, keyed (u, v) with u < v lexicographically,
-    to multiplicities; semiedges maps vertices to their semiedge count.  Only
-    nonzero entries are stored.
+
+class _NeighbourGraph:
+    """A graph stored as a neighbour-index array: vertex i meets vertex
+    neighbours[k, i] along its k-th incidence, itself for a semiedge.  The
+    axes after the first flatten to the n_vertices vertex indices."""
+
+    @cached_property
+    def _incidence(self) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+        """Index-keyed edges {(i, j): m, i < j} and semiedges {i: m}, nonzero
+        entries only, in key order.  The incidence must be symmetric: i meets j
+        exactly as often as j meets i."""
+        flat = self.neighbours.reshape(-1, self.n_vertices)
+        n = flat.shape[1]
+        vertex = np.arange(n)
+        out = np.sort(vertex * n + flat, axis=None)
+        if not np.array_equal(out, np.sort(flat * n + vertex, axis=None)):
+            raise InvariantViolation(f"asymmetric incidence in {self!r}")
+        keys, mult = np.unique(out, return_counts=True)
+        i, j = np.divmod(keys, n)
+        edge, semi = i < j, i == j
+        edges = dict(zip(zip(i[edge].tolist(), j[edge].tolist()), mult[edge].tolist()))
+        return edges, dict(zip(i[semi].tolist(), mult[semi].tolist()))
+
+    @property
+    def edges(self) -> dict:
+        return self._incidence[0]
+
+    @property
+    def semiedges(self) -> dict:
+        return self._incidence[1]
+
+    @property
+    def total_semiedges(self) -> int:
+        """Semiedge count, read straight off the neighbour array."""
+        flat = self.neighbours.reshape(-1, self.n_vertices)
+        return int(np.count_nonzero(flat == np.arange(flat.shape[1])))
+
+    def degree(self, v) -> int:
+        """Number of edge endpoints at v, counting each semiedge once."""
+        return self.semiedges.get(v, 0) + sum(m for pair, m in self.edges.items() if v in pair)
+
+
+@dataclass(frozen=True)
+class CaySumGraph(_NeighbourGraph):
+    """A Cayley sum graph, stored as the (|S|, n) neighbour-index array with
+    neighbours[k, u] the index of s_k - u for the k-th element s_k of the
+    sorted sum set: row k holds the edges that s_k contributes, and u = s_k - u
+    is a semiedge.  edges maps vertex pairs (u, v), u < v lexicographically,
+    to multiplicities and semiedges maps vertices to counts, nonzero only.
     """
 
     group: FiniteAbelianGroup
     sum_set: SumSet
-    edges: dict[tuple[Element, Element], int]
-    semiedges: dict[Element, int]
 
     @property
     def n_vertices(self) -> int:
         return self.group.order
 
-    @property
-    def total_semiedges(self) -> int:
-        return sum(self.semiedges.values())
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        group, size, n = self.group, self.sum_set.size, self.group.order
+        labels = group.labels  # first: a group too large to index raises ValueError
+        elements = np.array(self.sum_set.elements, dtype=np.int64).reshape(size, group.rank)
+        coords = elements.T[:, :, None] - labels[:, None, :]
+        return group.indices(coords.reshape(group.rank, size * n)).reshape(size, n)
+
+    @cached_property
+    def edges(self) -> dict[tuple[Element, Element], int]:
+        elements = self.group.element_tuple
+        return {(elements[i], elements[j]): m for (i, j), m in self._incidence[0].items()}
+
+    @cached_property
+    def semiedges(self) -> dict[Element, int]:
+        elements = self.group.element_tuple
+        return {elements[i]: m for i, m in self._incidence[1].items()}
 
     def vertices(self) -> tuple[Element, ...]:
         return self.group.element_tuple
 
-    def degree(self, u: Element) -> int:
-        """Number of edge endpoints at u, counting each semiedge once."""
-        deg = self.semiedges.get(u, 0)
-        for (x, y), m in self.edges.items():
-            if x == u or y == u:
-                deg += m
-        return deg
-
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric integer adjacency; diagonal holds semiedge counts.
-        Row u holds mult(g) at column g - u for each distinct g in S."""
-        group = self.group
-        a = np.zeros((group.order, group.order), dtype=np.int64)
-        rows = np.arange(group.order)
-        for g, m in self.sum_set.counts.items():
-            a[rows, group.indices(np.array(g, dtype=np.int64)[:, None] - group.labels)] = m
-        return a
+        Entry (u, v) counts the incidences k with neighbours[k, u] = v."""
+        n = self.n_vertices
+        cells = self.neighbours + np.arange(0, n * n, n)
+        return np.bincount(cells.ravel(), minlength=n * n).reshape(n, n)
 
 
 def cayley_sum_graph(group: FiniteAbelianGroup, s: SumSet) -> CaySumGraph:
-    """Build CayS(group, s).
-
-    One index array per distinct g in s gives the neighbour v = g - u of
-    every vertex u, in O(|group| * |s|); index order is lexicographic, so
-    u < v compares indices.
-    """
+    """Build CayS(group, s); its neighbour array is computed on first use."""
     if s.group != group:
         raise ValueError("sum set belongs to a different group")
-    elements = group.element_tuple
-    vertices = np.arange(group.order)
-    edges: dict[tuple[Element, Element], int] = {}
-    semiedges: dict[Element, int] = {}
-    for g, m in s.counts.items():
-        v = group.indices(np.array(g, dtype=np.int64)[:, None] - group.labels)
-        for i in (v == vertices).nonzero()[0].tolist():
-            semiedges[elements[i]] = m
-        upper = vertices < v
-        for i, j in zip(vertices[upper].tolist(), v[upper].tolist()):
-            edges[(elements[i], elements[j])] = m
-    return CaySumGraph(group=group, sum_set=s, edges=edges, semiedges=semiedges)
+    return CaySumGraph(group=group, sum_set=s)
 
 
 def total_semiedge_count(group: FiniteAbelianGroup, s: SumSet) -> int:
@@ -182,13 +213,12 @@ def translate_sum_set(s: SumSet, t: Element) -> SumSet:
 
 def graph_to_json(graph: CaySumGraph) -> dict:
     """Wire format: moduli, sum_set, semiedges (by vertex index), edges [i, j, mult]."""
-    # sorting elements sorts their indices, which follow lexicographic order
-    index = graph.group.index_of
+    edges, semiedges = graph._incidence
     return {
         "moduli": list(graph.group.moduli),
         "sum_set": [list(x) for x in graph.sum_set.elements],
-        "semiedges": {str(index(u)): m for u, m in sorted(graph.semiedges.items())},
-        "edges": [[index(u), index(v), m] for (u, v), m in sorted(graph.edges.items())],
+        "semiedges": {str(i): m for i, m in semiedges.items()},
+        "edges": [[i, j, m] for (i, j), m in edges.items()],
     }
 
 

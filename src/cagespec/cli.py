@@ -344,8 +344,8 @@ def _cmd_fold(args, config: RunConfig) -> int:
         "spec": list(t.as_tuple()),
         "n_vertices": folded.n_vertices,
         "reps": [list(r) for r in folded.reps],
-        "edges": sorted([i, j, m] for (i, j), m in folded.edges.items()),
-        "semiedges": {str(i): m for i, m in sorted(folded.semiedges.items())},
+        "edges": [[i, j, m] for (i, j), m in folded.edges.items()],
+        "semiedges": {str(i): m for i, m in folded.semiedges.items()},
         "matches_cayley": ok,
     }
     _emit_json(payload, args.fmt)
@@ -391,26 +391,26 @@ def _dedup_key(report: FullereneReport) -> tuple:
     )
 
 
-def _census_csv_cells(payload: dict) -> list:
+def _census_csv_cells(report: FullereneReport) -> list:
     return [
-        *payload["spec"],
-        payload["n_vertices"],
-        payload["semiedges"],
-        payload["f3"],
-        payload["f6"],
-        _compact(payload["moduli"]),
-        _compact(payload["M_canonical"]),
-        f"{payload['spectral_radius']:.12g}",
+        *report.spec.as_tuple(),
+        report.n_vertices,
+        report.semiedges,
+        report.f3,
+        report.f6,
+        _compact(report.moduli),
+        _compact(report.unmatched_canonical),
+        f"{report.spectral_radius:.12g}",
     ]
 
 
-def _census_human_line(payload: dict) -> str:
-    p, q, r, s, p1, p2 = payload["spec"]
+def _census_human_line(report: FullereneReport) -> str:
+    p, q, r, s, p1, p2 = report.spec.as_tuple()
     return (
-        f"[{p},{q},{r},{s};{p1},{p2}] n={payload['n_vertices']} s={payload['semiedges']} "
-        f"f3={payload['f3']} f6={payload['f6']} case={payload['case']} "
-        f"moduli={_compact(payload['moduli'])} M={_compact(payload['M_canonical'])} "
-        f"radius={payload['spectral_radius']:.6g}"
+        f"[{p},{q},{r},{s};{p1},{p2}] n={report.n_vertices} s={report.semiedges} "
+        f"f3={report.f3} f6={report.f6} case={report.case} "
+        f"moduli={_compact(report.moduli)} M={_compact(report.unmatched_canonical)} "
+        f"radius={report.spectral_radius:.6g}"
     )
 
 
@@ -431,13 +431,12 @@ def _cmd_census(args, config: RunConfig) -> int:
                 continue
             seen.add(key)
         emitted += 1
-        payload = _report_payload(report)
         if writer is not None:
-            writer.writerow(_census_csv_cells(payload))
+            writer.writerow(_census_csv_cells(report))
         elif args.fmt == "json":
-            sys.stdout.write(json.dumps(payload) + "\n")
+            sys.stdout.write(json.dumps(_report_payload(report)) + "\n")
         else:
-            sys.stdout.write(_census_human_line(payload) + "\n")
+            sys.stdout.write(_census_human_line(report) + "\n")
     case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
     print(
         f"census: {total} specs, {emitted} rows, cases {case_text}, violations: 0",

@@ -9,15 +9,13 @@ spectrum splits into a small unmatched multiset plus symmetric +- pairs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .abelian import DegenerateLatticeError, Element, QuotientMap, quotient_group
-from .caysum import SumSet, total_semiedge_count
+from .caysum import SumSet, _NeighbourGraph, total_semiedge_count
 from .intlinalg import IntMatrix
 
 # spectrum_is_paired is no longer called by the pipeline; it stays importable
@@ -168,7 +166,7 @@ def face_census(t: TriangleSpec) -> FaceCensus:
 
 
 @dataclass(frozen=True)
-class FoldedGraph:
+class FoldedGraph(_NeighbourGraph):
     """Quotient of the triangle-adjacency graph by lattice translations and the
     point reflection; vertices are triangle orbits.
 
@@ -190,31 +188,6 @@ class FoldedGraph:
     @property
     def reps(self) -> tuple[tuple[int, int], ...]:
         return tuple(np.ndindex(self.neighbours.shape[1:]))
-
-    @cached_property
-    def edges(self) -> dict[tuple[int, int], int]:
-        rows = self.neighbours.reshape(3, -1).tolist()
-        incidence = Counter((i, j) for row in rows for i, j in enumerate(row) if i != j)
-        if any(incidence[(j, i)] != m for (i, j), m in incidence.items()):
-            raise InvariantViolation(f"asymmetric fold incidence for {self.spec.as_tuple()}")
-        return {(i, j): m for (i, j), m in sorted(incidence.items()) if i < j}
-
-    @cached_property
-    def semiedges(self) -> dict[int, int]:
-        flat = self.neighbours.reshape(3, -1)
-        counts = (flat == np.arange(flat.shape[1])).sum(axis=0)
-        return {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
-
-    @property
-    def total_semiedges(self) -> int:
-        return sum(self.semiedges.values())
-
-    def degree(self, i: int) -> int:
-        deg = self.semiedges.get(i, 0)
-        for (x, y), m in self.edges.items():
-            if x == i or y == i:
-                deg += m
-        return deg
 
     def labels(self, q: QuotientMap) -> list[Element]:
         """Group labels of the orbits: the image of each up-representative."""

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .abelian import FiniteAbelianGroup
-from .caysum import CaySumGraph, SumSet, total_semiedge_count
+from .caysum import CaySumGraph, InvariantViolation, SumSet, total_semiedge_count
 
 __all__ = [
     "EIGENSOLVER_TOL",
@@ -48,10 +48,6 @@ MATCH_TOL = 1e-8
 
 class ConvergenceError(RuntimeError):
     """Raised when the multisection pass budget is exhausted before convergence."""
-
-
-class InvariantViolation(RuntimeError):
-    """An internal consistency check failed for a constructed graph."""
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,9 @@ def test_trivial_group_and_empty_sum_set(moduli, elements):
     assert graph.semiedges == ({(): s.size} if s.size else {})
     assert np.array_equal(graph.adjacency_matrix(), brute_adjacency(g, s))
     assert np.array_equal(cayley_graph(g, s), brute_cayley(g, s))
+    back = graph_from_json(json.loads(json.dumps(graph_to_json(graph))))
+    assert back == graph
+    assert (back.edges, back.semiedges) == (graph.edges, graph.semiedges)
 
 
 def test_cayley_graph_requires_symmetric_connection_set():

@@ -9,12 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from cagespec import spectra
+from cagespec import cli, spectra
 from cagespec.cli import SPECTRUM_MAX_ORDER, main
+from cagespec.fullerene import FoldedGraph
 
 GOLDEN_LATTICE = "[[6, -2], [2, 6]]"
 
@@ -147,6 +149,13 @@ def test_spectrum_csv_format(capsys):
         (["spectrum"], '{"moduli": [2], "sum_set": [[1]], "edges": [[0, 1, 1.9]]}'),
         (["spectrum"], '{"moduli": [2], "sum_set": [[1]], "edges": [["0", "1", "1"]]}'),
         (["spectrum"], '{"moduli": [2], "sum_set": [[1]], "edges": [[false, true, true]]}'),
+        # groups too large to index, which no machine can allocate
+        (["construct", "--spec", "99999999999999999999,0,0,1,0,0"], None),
+        (["crystal", "--family", "path", "--sublattice", "99999999999999999999"], None),
+        (["crystal", "--family", "grid", "--d", "2", "--sublattice", f"{10**20 - 1},0,0,1"], None),
+        (["crystal", "--family", "diamond", "--d", "2", "--sublattice", f"{10**20 - 1},0,0,2"], None),
+        (["construct", "--spec", "4294967296,0,0,4294967296,0,0"], None),
+        (["crystal", "--family", "path", "--sublattice", "9223372036854775807"], None),
     ],
 )
 def test_malformed_input_exits_2(argv, stdin_text, capsys, monkeypatch):
@@ -177,8 +186,52 @@ def _graph_json(moduli: list[int]):
     )
 
 
+_twenty_digits = st.integers(10**19, 10**20 - 1) | st.integers(1 - 10**20, -(10**19))
+_entry = _small | _twenty_digits
+
+
+def _bounded_diagonal(values: list[int]) -> list[int]:
+    """Replace by 1 each entry that would take |product| above 60."""
+    out, prod = [], 1
+    for v in values:
+        v = v if prod * abs(v) <= 60 else 1
+        prod *= abs(v)
+        out.append(v)
+    return out
+
+
+def _upper_triangular(d: int):
+    # the group order is the diagonal product; entries above it may have 20 digits
+    return st.tuples(
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d).map(_bounded_diagonal),
+        st.lists(_entry, min_size=d * d, max_size=d * d),
+    ).map(lambda t: [
+        t[0][i] if i == j else t[1][i * d + j] if j > i else 0
+        for i in range(d) for j in range(d)
+    ])
+
+
+def _crystal_argv(family: str, d: int | None, a_choice: str | None, entries: list[int]):
+    argv = ["crystal", "--family", family, "--sublattice", ",".join(map(str, entries))]
+    if d is not None:
+        argv += ["--d", str(d)]
+    if a_choice is not None:
+        argv += ["--a-choice", a_choice]
+    return argv, None
+
+
+def _crystal_call(family: str, d: int | None, a_choice: str | None):
+    # a list of any other length than d * d is rejected before a group is built
+    n = (d or 1) ** 2
+    wrong_length = st.lists(_entry, max_size=10).filter(lambda e: len(e) != n)
+    return st.one_of(_upper_triangular(d or 1), wrong_length).map(
+        lambda entries: _crystal_argv(family, d, a_choice, entries)
+    )
+
+
 # group orders stay at most 60: spec entries in [-5, 5] give |det| <= 50,
-# and graph JSON moduli are filtered on their product
+# graph JSON moduli are filtered on their product, and square crystal
+# sublattices are upper-triangular with a diagonal product of at most 60
 _cli_calls = st.one_of(
     st.one_of(
         st.integers(1, 3).flatmap(_square),
@@ -193,6 +246,11 @@ _cli_calls = st.one_of(
     .flatmap(_graph_json)
     .map(lambda obj: (["spectrum"], json.dumps(obj))),
     st.one_of(_json_scalar.map(json.dumps), st.text(max_size=6)).map(lambda t: (["spectrum"], t)),
+    st.tuples(
+        st.sampled_from(["path", "grid", "diamond"]),
+        st.integers(0, 9).map(lambda d: d or None),  # 0: no --d
+        st.sampled_from([None, "corner", "offset"]),
+    ).flatmap(lambda c: _crystal_call(*c)),
 )
 
 
@@ -383,6 +441,18 @@ def test_verify_reports_a_spectrum_check_failure_as_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "real characters" in err
+
+
+def test_fold_reports_asymmetric_incidence_as_exit_3(capsys, monkeypatch):
+    # orbit 0 meets orbit 1 along all three edges, orbit 1 meets orbit 0 once
+    def lopsided(t):
+        return FoldedGraph(t, np.array([[[1, 0]], [[1, 1]], [[1, 1]]]))
+
+    monkeypatch.setattr(cli, "fold_construction", lopsided)
+    code, out, err = run_cli(["fold", "--spec", "1,0,0,2,0,1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "asymmetric incidence" in err
 
 
 def test_verify_needs_a_target(capsys):
