@@ -1,7 +1,10 @@
 """Command-line shell: constructions, spectra, censuses and verification sweeps.
 
-Output is machine-readable by default (JSON, or CSV for tabular commands);
-exit code 0 means success, 2 a usage or parse problem, 3 a computation or
+Each subcommand declares only the options it reads, so argparse rejects any
+other: `--format` with the formats the subcommand renders (JSON by default, CSV
+for `census`), `--tolerance` on `spectrum`, `--jobs` on `census` and `verify`.
+Exit code 0 means success, 2 a usage or parse problem (a group order above
+MAX_ORDER, or SPECTRUM_MAX_ORDER for `spectrum`, included), 3 a computation or
 invariant failure.
 """
 
@@ -15,7 +18,6 @@ import re
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
@@ -42,7 +44,7 @@ from .spectra import (
     numeric_spectrum,
 )
 
-__all__ = ["RunConfig", "SPECTRUM_MAX_ORDER", "main"]
+__all__ = ["MAX_ORDER", "SPECTRUM_MAX_ORDER", "main"]
 
 _CENSUS_HEADER = [
     "p",
@@ -68,18 +70,10 @@ _CHUNK = 256
 # (Z_n and Z_2 x Z_n/2 folds, one core of a 2-vCPU VM, Python 3.11, numpy 2.4).
 SPECTRUM_MAX_ORDER = 400
 
-
-class _UsageError(ValueError):
-    """Bad input that argparse could not catch; mapped to exit code 2 like
-    every other ValueError except DegenerateLatticeError."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide knobs: the spectrum match tolerance and sweep parallelism."""
-
-    match_tol: float = MATCH_TOL
-    jobs: int = 1
+# Largest group order every other subcommand accepts.  At this order `fold`
+# takes 5-7 s and 680 MB, `construct` 3-5 s and 590 MB (2-vCPU VM, Python 3.11,
+# numpy 2.4), and both grow linearly.
+MAX_ORDER = 10**6
 
 
 # --- argument parsing --------------------------------------------------------
@@ -115,9 +109,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _spec_arg(text: str) -> tuple[int, ...]:
     values = _int_list(text)
     if len(values) != 6:
-        raise argparse.ArgumentTypeError(
-            f"expected 6 integers p,q,r,s,p1,p2, got {len(values)}"
-        )
+        raise argparse.ArgumentTypeError(f"expected 6 integers p,q,r,s,p1,p2, got {len(values)}")
     return values
 
 
@@ -146,24 +138,13 @@ def _glue_signed_lists(argv: Sequence[str]) -> list[str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "human"),
-        default=None,
-        help="output format (default depends on the subcommand)",
-    )
-    common.add_argument(
-        "--tolerance",
-        type=_positive_float,
-        default=MATCH_TOL,
-        help=f"numeric spectrum match tolerance (default {MATCH_TOL:g})",
-    )
-    common.add_argument(
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
         "--jobs",
         type=_positive_int,
-        default=None,
-        help="worker processes for sweeps (default: $CAGESPEC_JOBS or 1)",
+        # argparse runs a string default through type, so a bad value exits 2
+        default=os.environ.get("CAGESPEC_JOBS") or "1",
+        help="worker processes for the sweep (default: $CAGESPEC_JOBS or 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -173,42 +154,62 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("snf", parents=[common], help="Smith normal form of an integer matrix")
+    def command(name, func, summary, formats=("json", "human"), parents=()):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.add_argument(
+            "--format", choices=formats, default=formats[0], help="output format (default %(default)s)"
+        )
+        p.set_defaults(func=func)
+        return p
+
+    p = command("snf", _cmd_snf, "Smith normal form of an integer matrix")
     p.add_argument("matrix", help="JSON array of matrix rows, or - to read stdin")
-    p.set_defaults(func=_cmd_snf, default_format="json", formats=("json", "human"))
 
-    p = sub.add_parser("construct", parents=[common], help="build the Cayley sum graph of a spec")
+    p = command("construct", _cmd_construct, "build the Cayley sum graph of a spec")
     p.add_argument("--spec", type=_spec_arg, required=True, metavar="p,q,r,s,p1,p2")
-    p.set_defaults(func=_cmd_construct, default_format="json", formats=("json", "human"))
 
-    p = sub.add_parser("fold", parents=[common], help="fold the triangulation geometrically")
+    p = command("fold", _cmd_fold, "fold the triangulation geometrically")
     p.add_argument("--spec", type=_spec_arg, required=True, metavar="p,q,r,s,p1,p2")
-    p.set_defaults(func=_cmd_fold, default_format="json", formats=("json", "human"))
 
-    p = sub.add_parser(
-        "spectrum", parents=[common], help="spectrum of a spec or of a graph JSON on stdin"
+    p = command(
+        "spectrum",
+        _cmd_spectrum,
+        "spectrum of a spec or of a graph JSON on stdin",
+        formats=("json", "csv", "human"),
     )
     p.add_argument("--spec", type=_spec_arg, default=None, metavar="p,q,r,s,p1,p2")
-    p.set_defaults(func=_cmd_spectrum, default_format="json", formats=("json", "csv", "human"))
+    p.add_argument(
+        "--tolerance",
+        type=_positive_float,
+        default=MATCH_TOL,
+        help=f"numeric spectrum match tolerance (default {MATCH_TOL:g})",
+    )
 
-    p = sub.add_parser("census", parents=[common], help="classify every spec up to an index bound")
+    p = command(
+        "census",
+        _cmd_census,
+        "classify every spec up to an index bound",
+        formats=("csv", "json", "human"),
+        parents=[jobs],
+    )
     p.add_argument("--max-index", type=_positive_int, required=True)
     p.add_argument(
         "--dedup",
         action="store_true",
         help="emit one row per (order, semiedges, moduli, spectrum) class",
     )
-    p.set_defaults(func=_cmd_census, default_format="csv", formats=("json", "csv", "human"))
 
-    p = sub.add_parser(
-        "verify", parents=[common], help="verify the spectral invariants and the fold isomorphism"
+    p = command(
+        "verify",
+        _cmd_verify,
+        "verify the spectral invariants and the fold isomorphism",
+        parents=[jobs],
     )
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--max-index", type=_positive_int, default=None)
     target.add_argument("--spec", type=_spec_arg, default=None, metavar="p,q,r,s,p1,p2")
-    p.set_defaults(func=_cmd_verify, default_format="json", formats=("json", "human"))
 
-    p = sub.add_parser("crystal", parents=[common], help="path, grid or diamond crystal families")
+    p = command("crystal", _cmd_crystal, "path, grid or diamond crystal families")
     p.add_argument("--family", choices=("path", "grid", "diamond"), required=True)
     p.add_argument("--d", type=_positive_int, default=None, help="ambient dimension")
     p.add_argument(
@@ -219,24 +220,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="row-major sublattice entries in the ambient basis (path: the single integer n)",
     )
     p.add_argument("--a-choice", choices=("corner", "offset"), default=None)
-    p.set_defaults(func=_cmd_crystal, default_format="json", formats=("json", "human"))
 
     return parser
 
 
-def _resolve_jobs(cli_value: int | None) -> int:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("CAGESPEC_JOBS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise _UsageError(f"CAGESPEC_JOBS is not an integer: {env!r}") from exc
-        if value < 1:
-            raise _UsageError(f"CAGESPEC_JOBS must be >= 1, got {value}")
-        return value
-    return 1
+def _check_order(order: int, limit: int = MAX_ORDER) -> None:
+    if order > limit:
+        raise ValueError(f"group order {order} exceeds the limit {limit}")
 
 
 # --- shared plumbing ---------------------------------------------------------
@@ -245,24 +235,21 @@ def _load_json(text: str):
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise _UsageError(f"invalid JSON: {exc}") from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
 
 
 def _matrix_from_lists(rows) -> IntMatrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise _UsageError("expected a JSON array of matrix rows")
+        raise ValueError("expected a JSON array of matrix rows")
     d = len(rows)
     for r in rows:
         if len(r) != d or not all(type(x) is int for x in r):
-            raise _UsageError(f"expected a square integer matrix, got row {r!r}")
+            raise ValueError(f"expected a square integer matrix, got row {r!r}")
     return IntMatrix.from_rows(rows)
 
 
 def _emit_json(payload: dict, fmt: str) -> None:
-    if fmt == "human":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload))
+    print(json.dumps(payload, indent=2 if fmt == "human" else None))
 
 
 def _compact(values) -> str:
@@ -309,7 +296,7 @@ def _verify_chunk(specs: list[TriangleSpec]) -> Counter:
 
 # --- subcommands -------------------------------------------------------------
 
-def _cmd_snf(args, config: RunConfig) -> int:
+def _cmd_snf(args) -> int:
     text = args.matrix
     if text == "-":
         text = sys.stdin.read()
@@ -321,22 +308,24 @@ def _cmd_snf(args, config: RunConfig) -> int:
         "diagonal": list(dec.diagonal),
         "singular": any(x == 0 for x in dec.diagonal),
     }
-    _emit_json(payload, args.fmt)
+    _emit_json(payload, args.format)
     return 0
 
 
-def _cmd_construct(args, config: RunConfig) -> int:
+def _cmd_construct(args) -> int:
     t = TriangleSpec(*args.spec)
+    _check_order(t.index)
     q, s = group_and_sumset(t)
     graph = cayley_sum_graph(q.group, s)
     payload = graph_to_json(graph)
     payload["spec"] = list(t.as_tuple())
-    _emit_json(payload, args.fmt)
+    _emit_json(payload, args.format)
     return 0
 
 
-def _cmd_fold(args, config: RunConfig) -> int:
+def _cmd_fold(args) -> int:
     t = TriangleSpec(*args.spec)
+    _check_order(t.index)
     folded = fold_construction(t)
     q, s = group_and_sumset(t)
     ok = verify_isomorphism(folded, q, s)
@@ -348,27 +337,26 @@ def _cmd_fold(args, config: RunConfig) -> int:
         "semiedges": {str(i): m for i, m in folded.semiedges.items()},
         "matches_cayley": ok,
     }
-    _emit_json(payload, args.fmt)
+    _emit_json(payload, args.format)
     return 0 if ok else 3
 
 
-def _cmd_spectrum(args, config: RunConfig) -> int:
+def _cmd_spectrum(args) -> int:
     if args.spec is not None:
         q, s = group_and_sumset(TriangleSpec(*args.spec))
-        if q.group.order > SPECTRUM_MAX_ORDER:
-            raise _UsageError(f"group order {q.group.order} exceeds the limit {SPECTRUM_MAX_ORDER}")
+        _check_order(q.group.order, SPECTRUM_MAX_ORDER)
         graph = cayley_sum_graph(q.group, s)
     else:
         graph = graph_from_json(_load_json(sys.stdin.read()), max_order=SPECTRUM_MAX_ORDER)
     part = character_spectrum(graph)
     numeric = numeric_spectrum(graph.adjacency_matrix().astype(float))
-    ok = multiset_close(part.full(), numeric, config.match_tol)
-    if args.fmt == "csv":
+    ok = multiset_close(part.full(), numeric, args.tolerance)
+    if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["eigenvalue"])
         for value in part.full():
             writer.writerow([f"{value:.12g}"])
-    elif args.fmt == "human":
+    elif args.format == "human":
         print(f"semiedges (trace): {part.semiedge_total}")
         print("M_raw:       ", " ".join(str(v) for v in part.unmatched_raw))
         print("M_canonical: ", " ".join(str(v) for v in part.unmatched_canonical))
@@ -414,15 +402,15 @@ def _census_human_line(report: FullereneReport) -> str:
     )
 
 
-def _cmd_census(args, config: RunConfig) -> int:
-    writer = csv.writer(sys.stdout) if args.fmt == "csv" else None
+def _cmd_census(args) -> int:
+    writer = csv.writer(sys.stdout) if args.format == "csv" else None
     if writer is not None:
         writer.writerow(_CENSUS_HEADER)
     cases: Counter = Counter()
     seen: set = set()
     total = 0
     emitted = 0
-    for report in chain.from_iterable(_sweep(_classify_chunk, args.max_index, config.jobs)):
+    for report in chain.from_iterable(_sweep(_classify_chunk, args.max_index, args.jobs)):
         total += 1
         cases[report.case] += 1
         if args.dedup:
@@ -433,7 +421,7 @@ def _cmd_census(args, config: RunConfig) -> int:
         emitted += 1
         if writer is not None:
             writer.writerow(_census_csv_cells(report))
-        elif args.fmt == "json":
+        elif args.format == "json":
             sys.stdout.write(json.dumps(_report_payload(report)) + "\n")
         else:
             sys.stdout.write(_census_human_line(report) + "\n")
@@ -445,48 +433,50 @@ def _cmd_census(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     if args.spec is not None:
-        report = verify_spec(TriangleSpec(*args.spec))
-        _emit_json(_report_payload(report), args.fmt)
+        t = TriangleSpec(*args.spec)
+        _check_order(t.index)
+        _emit_json(_report_payload(verify_spec(t)), args.format)
         return 0
-    cases = sum(_sweep(_verify_chunk, args.max_index, config.jobs), Counter())
+    cases = sum(_sweep(_verify_chunk, args.max_index, args.jobs), Counter())
     total = sum(cases.values())
     case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
     print(f"verified {total} specs (max index {args.max_index}); cases {case_text}; violations: 0")
     return 0
 
 
-def _cmd_crystal(args, config: RunConfig) -> int:
+def _cmd_crystal(args) -> int:
     family = args.family
     if family == "path":
         if args.d not in (None, 1):
-            raise _UsageError("the path family is 1-dimensional")
+            raise ValueError("the path family is 1-dimensional")
         if len(args.sublattice) != 1:
-            raise _UsageError("path: --sublattice expects the single integer n")
+            raise ValueError("path: --sublattice expects the single integer n")
         if args.a_choice is not None:
-            raise _UsageError("--a-choice does not apply to the path family")
+            raise ValueError("--a-choice does not apply to the path family")
         spec = path_family(args.sublattice[0])
         a_choice = None
     else:
         d = args.d
         if d is None:
-            raise _UsageError(f"--d is required for the {family} family")
+            raise ValueError(f"--d is required for the {family} family")
         entries = args.sublattice
         if len(entries) != d * d:
-            raise _UsageError(
+            raise ValueError(
                 f"--sublattice expects {d * d} integers (row-major {d}x{d}), got {len(entries)}"
             )
         sub = IntMatrix.from_rows([list(entries[i * d : (i + 1) * d]) for i in range(d)])
         if family == "grid":
             if args.a_choice is not None:
-                raise _UsageError("--a-choice applies to the diamond family only")
+                raise ValueError("--a-choice applies to the diamond family only")
             spec = grid_family(d, sub)
             a_choice = "edge"
         else:
             a_choice = args.a_choice or "corner"
             spec = diamond_family(d, sub, a_choice)
     q, s, graph = crystal_cayley(spec)
+    _check_order(graph.n_vertices)  # before the neighbour array is built
     part = character_spectrum(graph)
     payload = {
         "family": family,
@@ -497,28 +487,19 @@ def _cmd_crystal(args, config: RunConfig) -> int:
         "graph": graph_to_json(graph),
         "spectrum": part.to_json(),
     }
-    _emit_json(payload, args.fmt)
+    _emit_json(payload, args.format)
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_glue_signed_lists(sys.argv[1:] if argv is None else argv))
-    fmt = args.format if args.format is not None else args.default_format
-    if fmt not in args.formats:
-        print(
-            f"error: format {fmt!r} is not supported by {args.command}",
-            file=sys.stderr,
-        )
-        return 2
-    args.fmt = fmt
     try:
-        config = RunConfig(match_tol=args.tolerance, jobs=_resolve_jobs(args.jobs))
-        return args.func(args, config)
+        return args.func(args)
     except (DegenerateLatticeError, InvariantViolation, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # an input check, _UsageError included
+    except ValueError as exc:  # an input check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -18,7 +18,6 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,23 +84,20 @@ class SpectrumPartition:
         }
 
 
-@lru_cache(maxsize=128)
-def _dft_layout(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the conjugate-pair representatives and of the involutive
-    labels in the DFT array of a group with these (nonempty) moduli.
-
-    The DFT array's flat order is the group's index order, so the
-    representative of {a, -a} is the flat index k with k < neg[k], and
-    a = -a iff k == neg[k].
-    """
-    group = FiniteAbelianGroup(moduli)
-    neg = group.indices(-group.labels)
-    k = np.arange(neg.size)
-    return (k < neg).nonzero()[0], (k == neg).nonzero()[0]
+def _dft_slices(moduli: tuple[int, ...]) -> tuple[list[tuple[slice, ...]], tuple[slice, ...]]:
+    """Index tuples into a moduli-shaped array (nonempty moduli): per axis j, the
+    conjugate-pair representatives a < -a whose first non-involutive coordinate
+    is a_j, which holds iff a_j lies in [1, (n_j + 1) // 2); and the involutive
+    labels, every a_j 0 or n_j / 2, in lexicographic order."""
+    invol, reps = (), []
+    for n in moduli:
+        reps.append(invol + (slice(1, (n + 1) // 2),))
+        invol += (slice(0, None, n // 2 if n % 2 == 0 else n),)
+    return reps, invol
 
 
 def _character_dft(group: FiniteAbelianGroup, s: SumSet) -> np.ndarray:
-    """All character sums at once: the DFT of S's multiplicity array, flat.
+    """All character sums at once: the DFT of S's multiplicity array.
 
     np.fft.fftn computes sum_x m[x] exp(-2 pi i a.x / n), which is the complex
     conjugate of chi_a(S); magnitudes and real values are unaffected.
@@ -109,7 +105,7 @@ def _character_dft(group: FiniteAbelianGroup, s: SumSet) -> np.ndarray:
     mult = np.zeros(group.moduli, dtype=np.int64)
     for x in s.elements:
         mult[x] += 1
-    return np.fft.fftn(mult).ravel()
+    return np.fft.fftn(mult)
 
 
 def _real_character_values(group: FiniteAbelianGroup, s: SumSet) -> list[int]:
@@ -143,14 +139,15 @@ def sum_set_spectrum(
     raw = _real_character_values(group, s)
     paired: list[float] = []
     if group.moduli:
-        reps, invol = _dft_layout(group.moduli)
+        reps, invol = _dft_slices(group.moduli)
         chi = _character_dft(group, s)
-        if np.max(np.abs(chi[invol] - raw)) > MATCH_TOL:
+        real = chi[invol].ravel()
+        if np.max(np.abs(real - raw)) > MATCH_TOL:
             raise InvariantViolation(
-                f"DFT values at the real characters {chi[invol].real.tolist()} "
+                f"DFT values at the real characters {real.real.tolist()} "
                 f"!= exact parity sums {raw} for moduli {group.moduli}"
             )
-        paired = np.sort(np.abs(chi[reps]))[::-1].tolist()
+        paired = np.sort(np.abs(np.concatenate([chi[r] for r in reps], axis=None)))[::-1].tolist()
 
     if semiedge_total is None:
         semiedge_total = total_semiedge_count(group, s)
@@ -262,8 +259,9 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
 
     if not moduli:
         return pairs
-    reps, _ = _dft_layout(moduli)
-    chi_s = np.conj(_character_dft(group, graph.sum_set)[reps])
+    index = np.arange(group.order).reshape(moduli)
+    reps = np.sort(np.concatenate([index[r] for r in _dft_slices(moduli)[0]], axis=None))
+    chi_s = np.conj(_character_dft(group, graph.sum_set).ravel()[reps])
     den = group._lcm
     # exact integer phases of every pair representative at every element
     phases = ((labels[:, reps].T * (den // np.array(moduli))) @ labels) % den

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from cagespec import cli, spectra
-from cagespec.cli import SPECTRUM_MAX_ORDER, main
+from cagespec.cli import MAX_ORDER, SPECTRUM_MAX_ORDER, main
 from cagespec.fullerene import FoldedGraph
 
 GOLDEN_LATTICE = "[[6, -2], [2, 6]]"
@@ -72,7 +73,7 @@ def test_snf_bad_input(capsys):
 def test_snf_rejects_csv_format(capsys):
     code, _, err = run_cli(["snf", GOLDEN_LATTICE, "--format", "csv"], capsys)
     assert code == 2
-    assert "not supported" in err
+    assert "invalid choice" in err
 
 
 # --- construct / spectrum / fold ---------------------------------------------
@@ -156,6 +157,11 @@ def test_spectrum_csv_format(capsys):
         (["crystal", "--family", "diamond", "--d", "2", "--sublattice", f"{10**20 - 1},0,0,2"], None),
         (["construct", "--spec", "4294967296,0,0,4294967296,0,0"], None),
         (["crystal", "--family", "path", "--sublattice", "9223372036854775807"], None),
+        # group orders above MAX_ORDER, rejected before any array is built
+        (["fold", "--spec", "1001,0,0,1000,0,0"], None),
+        (["verify", "--spec", "1001,0,0,1000,0,0"], None),
+        (["construct", "--spec", "1001,0,0,1000,0,0"], None),
+        (["crystal", "--family", "path", "--sublattice", str(MAX_ORDER + 1)], None),
     ],
 )
 def test_malformed_input_exits_2(argv, stdin_text, capsys, monkeypatch):
@@ -547,6 +553,74 @@ def test_top_level_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(["spectrum", "--spec", "1,2,3"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["fold", "--spec", "1001,0,0,1000,0,0"], 1001000),
+        (["verify", "--spec", "1001,0,0,1000,0,0"], 1001000),
+        (["construct", "--spec", "99999999999999999999,0,0,1,0,0"], 10**20 - 1),
+        (["crystal", "--family", "path", "--sublattice", "9223372036854775807"], 2**63 - 1),
+        (["crystal", "--family", "grid", "--d", "2", "--sublattice", "1001,0,0,1000"], 1001000),
+    ],
+)
+def test_group_order_cap_names_the_order(argv, order, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: group order {order} exceeds the limit {MAX_ORDER}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--max-index", "2", "--tolerance", "1e-6"],
+        ["snf", "[[1]]", "--jobs", "2"],
+        ["fold", "--spec", "1,0,0,1,0,0", "--jobs", "2"],
+        ["crystal", "--family", "path", "--sublattice", "4", "--tolerance", "1e-6"],
+    ],
+)
+def test_option_of_another_subcommand_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_bad_jobs_env_fails_only_the_sweeps(value, capsys, monkeypatch):
+    monkeypatch.setenv("CAGESPEC_JOBS", value)
+    code, out, err = run_cli(["census", "--max-index", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+    code, _, _ = run_cli(["census", "--max-index", "1", "--jobs", "1"], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["snf", GOLDEN_LATTICE], capsys)
+    assert code == 0
+    assert json.loads(out)["diagonal"] == [2, 20]
+
+
+@pytest.mark.parametrize(
+    "command, formats",
+    [
+        ("snf", {"json", "human"}),
+        ("construct", {"json", "human"}),
+        ("fold", {"json", "human"}),
+        ("spectrum", {"json", "csv", "human"}),
+        ("census", {"json", "csv", "human"}),
+        ("verify", {"json", "human"}),
+        ("crystal", {"json", "human"}),
+    ],
+)
+def test_each_subcommand_declares_only_the_options_it_reads(command, formats, capsys):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0
+    assert ("--tolerance" in out) == (command == "spectrum")
+    assert ("--jobs" in out) == (command in ("census", "verify"))
+    choices = re.search(r"--format \{([a-z,]+)\}", out).group(1)
+    assert set(choices.split(",")) == formats
 
 
 def test_installed_entry_points():
