@@ -17,6 +17,7 @@ from .caysum import (
     cayley_sum_graph,
     graph_from_json,
     graph_to_json,
+    semiedge_count,
     sum_set_difference,
     total_semiedge_count,
     translate_sum_set,
@@ -39,12 +40,14 @@ from .fullerene import (
     InvariantViolation,
     TriangleSpec,
     classify,
+    classify_chunk,
     enumerate_specs,
     face_census,
     fold_construction,
     group_and_sumset,
     is_non_obtuse,
     reduce_triangle_basis,
+    verify_chunk,
     verify_isomorphism,
     verify_spec,
 )
@@ -60,6 +63,7 @@ from .spectra import (
     multiset_close,
     numeric_spectrum,
     spectrum_is_paired,
+    sum_set_spectra,
     sum_set_spectrum,
 )
 
@@ -88,6 +92,7 @@ __all__ = [
     "graph_to_json",
     "sum_set_difference",
     "total_semiedge_count",
+    "semiedge_count",
     "translate_sum_set",
     # spectra
     "EIGENSOLVER_TOL",
@@ -101,6 +106,7 @@ __all__ = [
     "numeric_spectrum",
     "spectrum_is_paired",
     "sum_set_spectrum",
+    "sum_set_spectra",
     # fullerene
     "CASE_TABLE",
     "FaceCensus",
@@ -109,6 +115,7 @@ __all__ = [
     "InvariantViolation",
     "TriangleSpec",
     "classify",
+    "classify_chunk",
     "enumerate_specs",
     "face_census",
     "fold_construction",
@@ -117,6 +124,7 @@ __all__ = [
     "reduce_triangle_basis",
     "verify_isomorphism",
     "verify_spec",
+    "verify_chunk",
     # crystal
     "CrystalSpec",
     "crystal_cayley",

@@ -172,12 +172,18 @@ class QuotientMap:
     diagonal: tuple[int, ...]
     group: FiniteAbelianGroup
 
-    @cached_property
-    def _active_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        # transform rows paired with their moduli, skipping dropped (modulus 1) coordinates
-        return tuple(
-            (row, n) for row, n in zip(self.transform.rows, self.diagonal) if n != 1
-        )
+    def __post_init__(self) -> None:
+        # transform rows paired with their moduli, skipping dropped (modulus 1)
+        # coordinates; set once here, as a cached_property takes a lock per object
+        active = tuple((row, n) for row, n in zip(self.transform.rows, self.diagonal) if n != 1)
+        object.__setattr__(self, "_active_rows", active)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The kept transform rows as a (rank, dim) int64 array: project(v) is
+        matrix @ v reduced mod the group's moduli."""
+        rows = [row for row, _ in self._active_rows]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.dim)
 
     def project(self, vector) -> Element:
         if len(vector) != self.dim:

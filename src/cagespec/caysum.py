@@ -25,6 +25,7 @@ __all__ = [
     "cayley_sum_graph",
     "cayley_graph",
     "total_semiedge_count",
+    "semiedge_count",
     "sum_set_difference",
     "translate_sum_set",
     "graph_to_json",
@@ -48,6 +49,11 @@ class SumSet:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @property
+    def array(self) -> np.ndarray:
+        """The elements as the rows of a (size, rank) int64 array."""
+        return np.array(self.elements, dtype=np.int64).reshape(self.size, self.group.rank)
 
     @cached_property
     def counts(self) -> Counter:
@@ -122,8 +128,7 @@ class CaySumGraph(_NeighbourGraph):
     def neighbours(self) -> np.ndarray:
         group, size, n = self.group, self.sum_set.size, self.group.order
         labels = group.labels  # first: a group too large to index raises ValueError
-        elements = np.array(self.sum_set.elements, dtype=np.int64).reshape(size, group.rank)
-        coords = elements.T[:, :, None] - labels[:, None, :]
+        coords = self.sum_set.array.T[:, :, None] - labels[:, None, :]
         return group.indices(coords.reshape(group.rank, size * n)).reshape(size, n)
 
     @cached_property
@@ -155,27 +160,23 @@ def cayley_sum_graph(group: FiniteAbelianGroup, s: SumSet) -> CaySumGraph:
 
 
 def total_semiedge_count(group: FiniteAbelianGroup, s: SumSet) -> int:
-    """Adjacency trace of CayS(group, s), i.e. the total semiedge count.
-
-    Counted arithmetically: each g in S contributes mult(g) semiedges per
-    solution of 2u = g.  Solution counts factor over the coordinates (an odd
-    modulus always has exactly one, an even modulus has two when the
-    coordinate is even and none otherwise), so no graph is built.
-    """
+    """Adjacency trace of CayS(group, s), i.e. the total semiedge count."""
     if s.group != group:
         raise ValueError("sum set belongs to a different group")
-    moduli = group.moduli
-    total = 0
-    for g, m in s.counts.items():
-        k = 1
-        for gi, n in zip(g, moduli):
-            if n % 2 == 0:
-                if gi % 2:
-                    k = 0
-                    break
-                k *= 2
-        total += m * k
-    return total
+    return semiedge_count(group, s.elements)
+
+
+def semiedge_count(group: FiniteAbelianGroup, elements) -> int:
+    """Total semiedge count of CayS(group, S) for a multiset S of reduced
+    elements (sequences of residues), without checking them.
+
+    Counted arithmetically: each g in S contributes one semiedge per solution
+    of 2u = g.  Solution counts factor over the coordinates (an odd modulus
+    always has exactly one, an even modulus has two when the coordinate is
+    even and none otherwise), so no graph is built.
+    """
+    even = [j for j, n in enumerate(group.moduli) if n % 2 == 0]
+    return sum(1 for g in elements if not any(g[j] % 2 for j in even)) << len(even)
 
 
 def cayley_graph(group: FiniteAbelianGroup, connection: SumSet) -> np.ndarray:

@@ -3,6 +3,7 @@
 Each subcommand declares only the options it reads, so argparse rejects any
 other: `--format` with the formats the subcommand renders (JSON by default, CSV
 for `census`), `--tolerance` on `spectrum`, `--jobs` on `census` and `verify`.
+The sweeps hand chunks of specs to fullerene.classify_chunk and verify_chunk.
 Exit code 0 means success, 2 a usage or parse problem (a group order above
 MAX_ORDER, or SPECTRUM_MAX_ORDER for `spectrum`, included), 3 a computation or
 invariant failure.
@@ -28,13 +29,19 @@ from .fullerene import (
     FullereneReport,
     InvariantViolation,
     TriangleSpec,
-    classify,
+    classify_chunk,
     enumerate_specs,
     fold_construction,
     group_and_sumset,
+    verify_chunk,
     verify_isomorphism,
     verify_spec,
 )
+
+# classify is not called here; it stays importable from this module because
+# perfbench's trace table looks the layer up by module and name, and its
+# self-tests require every hook target to resolve.
+from .fullerene import classify  # noqa: F401
 from .intlinalg import IntMatrix, snf
 from .spectra import (
     MATCH_TOL,
@@ -142,8 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs.add_argument(
         "--jobs",
         type=_positive_int,
-        # argparse runs a string default through type, so a bad value exits 2
-        default=os.environ.get("CAGESPEC_JOBS") or "1",
+        default=None,  # main reads CAGESPEC_JOBS, so an error can name it
         help="worker processes for the sweep (default: $CAGESPEC_JOBS or 1)",
     )
 
@@ -224,6 +230,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _jobs_from_env() -> int:
+    """The --jobs default: $CAGESPEC_JOBS, 1 when unset or empty."""
+    text = os.environ.get("CAGESPEC_JOBS") or "1"
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CAGESPEC_JOBS (the --jobs default): {exc}") from None
+
+
 def _check_order(order: int, limit: int = MAX_ORDER) -> None:
     if order > limit:
         raise ValueError(f"group order {order} exceeds the limit {limit}")
@@ -286,12 +301,8 @@ def _sweep(chunk_fn: Callable, max_index: int, jobs: int) -> Iterator:
             yield from pool.map(chunk_fn, chunks)
 
 
-def _classify_chunk(specs: list[TriangleSpec]) -> list[FullereneReport]:
-    return [classify(t) for t in specs]
-
-
 def _verify_chunk(specs: list[TriangleSpec]) -> Counter:
-    return Counter(verify_spec(t).case for t in specs)
+    return Counter(report.case for report in verify_chunk(specs))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -410,7 +421,7 @@ def _cmd_census(args) -> int:
     seen: set = set()
     total = 0
     emitted = 0
-    for report in chain.from_iterable(_sweep(_classify_chunk, args.max_index, args.jobs)):
+    for report in chain.from_iterable(_sweep(classify_chunk, args.max_index, args.jobs)):
         total += 1
         cases[report.case] += 1
         if args.dedup:
@@ -441,8 +452,15 @@ def _cmd_verify(args) -> int:
         return 0
     cases = sum(_sweep(_verify_chunk, args.max_index, args.jobs), Counter())
     total = sum(cases.values())
-    case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
-    print(f"verified {total} specs (max index {args.max_index}); cases {case_text}; violations: 0")
+    if args.format == "human":
+        case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
+        print(
+            f"verified {total} specs (max index {args.max_index}); cases {case_text}; violations: 0"
+        )
+    else:
+        cases = dict(sorted(cases.items()))
+        summary = {"specs": total, "max_index": args.max_index, "cases": cases, "violations": 0}
+        print(json.dumps(summary))
     return 0
 
 
@@ -495,6 +513,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_glue_signed_lists(sys.argv[1:] if argv is None else argv))
     try:
+        if getattr(args, "jobs", 1) is None:  # a sweep without --jobs
+            args.jobs = _jobs_from_env()
         return args.func(args)
     except (DegenerateLatticeError, InvariantViolation, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

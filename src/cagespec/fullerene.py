@@ -5,26 +5,33 @@ the unit-triangle basis) plus a half-lattice translation (doubled coordinates
 (p1, p2)) determines a folding of the plane triangulation.  The folded graph is
 cubic with semiedges, realizable as a Cayley sum graph over Z^2 / L, and its
 spectrum splits into a small unmatched multiset plus symmetric +- pairs.
+
+classify_chunk and verify_chunk check a list of specs; classify and
+verify_spec are the same routines on one spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .abelian import DegenerateLatticeError, Element, QuotientMap, quotient_group
-from .caysum import SumSet, _NeighbourGraph, total_semiedge_count
-from .intlinalg import IntMatrix
+from .abelian import DegenerateLatticeError, Element, FiniteAbelianGroup, QuotientMap
+from .abelian import quotient_group
+from .caysum import SumSet, _NeighbourGraph
 
-# spectrum_is_paired is no longer called by the pipeline; it stays importable
-# from this module because perfbench's trace table looks each layer up by
-# module and name, and its self-tests require every hook target to resolve.
+# total_semiedge_count, sum_set_spectrum and spectrum_is_paired are not called
+# by the pipeline; they stay importable from this module because perfbench's
+# trace table looks each layer up by module and name, and its self-tests
+# require every hook target to resolve.
+from .caysum import total_semiedge_count  # noqa: F401
+from .intlinalg import IntMatrix
 from .spectra import (  # noqa: F401
     InvariantViolation,
     SpectrumPartition,
     spectrum_is_paired,
+    sum_set_spectra,
     sum_set_spectrum,
 )
 
@@ -41,6 +48,8 @@ __all__ = [
     "face_census",
     "classify",
     "verify_spec",
+    "classify_chunk",
+    "verify_chunk",
     "enumerate_specs",
     "reduce_triangle_basis",
     "is_non_obtuse",
@@ -91,6 +100,15 @@ class TriangleSpec:
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.p, self.q, self.r, self.s, self.p1, self.p2)
 
+    def __str__(self) -> str:
+        return f"spec {self.as_tuple()}"
+
+
+def _sum_set_elements(q: QuotientMap, t: TriangleSpec) -> list[Element]:
+    """The images of (p1-1, p2), (p1, p2-1) and (p1-1, p2-1) under the
+    quotient map q of t's lattice, unsorted."""
+    return [q.project(v) for v in ((t.p1 - 1, t.p2), (t.p1, t.p2 - 1), (t.p1 - 1, t.p2 - 1))]
+
 
 def group_and_sumset(t: TriangleSpec) -> tuple[QuotientMap, SumSet]:
     """Quotient group and connection multiset of the folded graph.
@@ -99,13 +117,7 @@ def group_and_sumset(t: TriangleSpec) -> tuple[QuotientMap, SumSet]:
     quotient map, so the graph is CayS(Z^2/L, S).
     """
     q = quotient_group(t.lattice)
-    points = (
-        (t.p1 - 1, t.p2),
-        (t.p1, t.p2 - 1),
-        (t.p1 - 1, t.p2 - 1),
-    )
-    s = SumSet(q.group, tuple(q.project(v) for v in points))
-    return q, s
+    return q, SumSet(q.group, tuple(_sum_set_elements(q, t)))
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -199,6 +211,17 @@ _PARTNER_DX = np.array([0, 1, 0]).reshape(3, 1, 1)
 _PARTNER_DY = np.array([0, 0, 1]).reshape(3, 1, 1)
 
 
+def _fold_neighbours(specs: Sequence[TriangleSpec]) -> np.ndarray:
+    """(k, 3, a, c) neighbour arrays of the folds of k specs sharing one
+    lattice; see fold_construction."""
+    a, b, c = _hermite_basis(specs[0])
+    shift = np.array([(t.p1 - 1, t.p2 - 1) for t in specs])[:, :, None, None, None]
+    x = (shift[:, 0] - np.arange(a)[:, None]) + _PARTNER_DX
+    beta, y = np.divmod((shift[:, 1] - np.arange(c)) + _PARTNER_DY, c)
+    # row-major index of the cell (x - beta * b mod a, y) of the Hermite box
+    return np.ravel_multi_index((x - beta * b, y), (a, c), mode="wrap")
+
+
 def fold_construction(t: TriangleSpec) -> FoldedGraph:
     """Fold the plane triangulation geometrically; no group theory involved.
 
@@ -211,10 +234,24 @@ def fold_construction(t: TriangleSpec) -> FoldedGraph:
     orbits are those of their up-partners reduced into the box; the fold is
     that (3, a, c) index array, computed for all cells at once.
     """
-    a, b, c = _hermite_basis(t)
-    x = (t.p1 - 1 - np.arange(a)[:, None]) + _PARTNER_DX
-    beta, y = np.divmod((t.p2 - 1 - np.arange(c)) + _PARTNER_DY, c)
-    return FoldedGraph(t, ((x - beta * b) % a) * c + y)
+    return FoldedGraph(t, _fold_neighbours([t])[0])
+
+
+def _label_sums_match(q: QuotientMap, neighbours: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """verify_isomorphism for a (k, 3, a, c) stack of folds of q's lattice
+    against their (k, 3, rank) sum sets, each sorted, with a * c the order of
+    q's group: one bool per fold."""
+    group = q.group
+    k, _, a, c = neighbours.shape
+    n = a * c
+    rank = group.rank
+    labels = q.matrix @ np.indices((a, c)).reshape(2, n)
+    sums = labels[:, None, :] + labels[:, neighbours.reshape(3 * k, n)]
+    sums = group.indices(sums.reshape(rank, 3 * k * n)).reshape(k, 3, n)
+    sums.sort(axis=1)
+    target = group.indices(elements.reshape(3 * k, rank).T).reshape(k, 3)
+    bijective = np.bincount(group.indices(labels), minlength=n).max() == 1
+    return bijective & (sums == target[:, :, None]).all(axis=(1, 2))
 
 
 def verify_isomorphism(folded: FoldedGraph, q: QuotientMap, s: SumSet) -> bool:
@@ -226,30 +263,29 @@ def verify_isomorphism(folded: FoldedGraph, q: QuotientMap, s: SumSet) -> bool:
     Labels are R @ (i, j) for the rows R of the quotient map, reduced and
     packed by the group's indices; index order is lexicographic, so each
     orbit's sorted sum indices compare directly against the sorted S.
-    The reflection being an involution makes the incidence symmetric, so
-    edge multiplicities need no separate check.
+    The reflection being an involution makes the incidence symmetric, so edge
+    multiplicities need no separate check.
     """
-    group = q.group
     _, a, c = folded.neighbours.shape
-    n = a * c
-    if n != group.order or len(s.elements) != 3:
+    if a * c != q.group.order or s.size != 3:
         return False
-    rank = group.rank
-    rows = np.array([row for row, _ in q._active_rows], dtype=np.int64).reshape(rank, 2)
-    labels = rows @ np.indices((a, c)).reshape(2, n)
-    sums = labels[:, None, :] + labels[:, folded.neighbours.reshape(3, n)]
-    sums = group.indices(sums.reshape(rank, 3 * n)).reshape(3, n)
-    sums.sort(axis=0)
-    target = group.indices(np.array(s.elements, dtype=np.int64).reshape(3, rank).T)
-    bijective = np.bincount(group.indices(labels), minlength=n).max() == 1
-    return bool(bijective and (sums == target[:, None]).all())
+    return bool(_label_sums_match(q, folded.neighbours[None], s.array[None])[0])
 
 
-def _fold_matches(t: TriangleSpec, q: QuotientMap, s: SumSet) -> bool:
-    """The fold cross-check of verify_spec: fold_construction, then
-    verify_isomorphism.  A module-level name taking the spec first, so a
-    tracer can wrap the per-spec fold check."""
-    return verify_isomorphism(fold_construction(t), q, s)
+def _fold_matches(
+    t: TriangleSpec, q: QuotientMap, s, specs: Sequence[TriangleSpec] | None = None
+) -> np.ndarray:
+    """The fold check of verify_chunk, one bool per spec.
+
+    For the specs sharing t's lattice and s, the (k, 3, rank) stack of their
+    sorted sum sets: whether each fold matches its Cayley sum graph, from one
+    stacked fold kernel.  With specs None, t alone against its SumSet s
+    (fold_construction, then verify_isomorphism).  A module-level name taking
+    a spec first, so a tracer can wrap the fold check and count t's vertices.
+    """
+    if specs is None:
+        return np.array([verify_isomorphism(fold_construction(t), q, s)])
+    return _label_sums_match(q, _fold_neighbours(specs), s)
 
 
 @dataclass(frozen=True)
@@ -271,15 +307,16 @@ class FullereneReport:
     full_spectrum = SpectrumPartition.full
 
 
-def _pipeline(t: TriangleSpec) -> tuple[QuotientMap, SumSet, FullereneReport]:
-    q, s = group_and_sumset(t)
-    trace = total_semiedge_count(q.group, s)
-    part = sum_set_spectrum(q.group, s, trace)
+def _report(
+    t: TriangleSpec, group: FiniteAbelianGroup, elements: list[Element], part: SpectrumPartition
+) -> FullereneReport:
+    """Check t's counting and spectral invariants and report; elements is its
+    sorted sum set and part its spectrum partition."""
     census = face_census(t)
-
-    n = q.group.order
+    n = group.order
     if n != t.index:
         raise InvariantViolation(f"group order {n} != lattice index {t.index} for {t.as_tuple()}")
+    trace = part.semiedge_total
     if trace != census.semiedges:
         raise InvariantViolation(
             f"s + f3 = 4 check failed: adjacency trace {trace} != 4 - f3 = "
@@ -296,12 +333,12 @@ def _pipeline(t: TriangleSpec) -> tuple[QuotientMap, SumSet, FullereneReport]:
             f"for case {case}, spec {t.as_tuple()}"
         )
     raw = part.unmatched_raw
-    # paired is descending, so its head is the largest magnitude
-    radius = max(max(abs(v) for v in raw), part.paired[0] if part.paired else 0.0)
-    return q, s, FullereneReport(
+    # raw and paired are descending, so their ends hold the largest magnitudes
+    radius = max(raw[0], -raw[-1], part.paired[0] if part.paired else 0.0)
+    return FullereneReport(
         spec=t,
-        moduli=q.group.moduli,
-        sum_set=s.elements,
+        moduli=group.moduli,
+        sum_set=tuple(elements),
         n_vertices=n,
         semiedges=census.semiedges,
         f3=census.f3,
@@ -314,19 +351,75 @@ def _pipeline(t: TriangleSpec) -> tuple[QuotientMap, SumSet, FullereneReport]:
     )
 
 
+def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneReport]:
+    """Reports of classify_chunk, plus the fold check of verify_chunk when fold.
+
+    Specs sharing a lattice (p, q, r, s) share its quotient and one stacked
+    fold check; specs whose quotients are equal groups share one stacked
+    spectrum DFT.  Every check still runs on each spec's own sum set.
+    """
+    by_lattice: dict[tuple[int, int, int, int], list[int]] = {}
+    for i, t in enumerate(specs):
+        by_lattice.setdefault((t.p, t.q, t.r, t.s), []).append(i)
+    by_group: dict[tuple[int, ...], list[tuple[QuotientMap, list[int]]]] = {}
+    for rows in by_lattice.values():
+        q = quotient_group(specs[rows[0]].lattice)
+        by_group.setdefault(q.group.moduli, []).append((q, rows))
+
+    reports: list = [None] * len(specs)
+    for lattices in by_group.values():
+        # rows lattice by lattice, so each lattice's sum sets are one slice
+        group = lattices[0][0].group
+        rows = [i for _, lattice_rows in lattices for i in lattice_rows]
+        sum_sets = [
+            sorted(_sum_set_elements(q, specs[i]))
+            for q, lattice_rows in lattices
+            for i in lattice_rows
+        ]
+        parts = sum_set_spectra(group, sum_sets, names=[specs[i] for i in rows])
+        for i, sum_set, part in zip(rows, sum_sets, parts):
+            reports[i] = _report(specs[i], group, sum_set, part)
+        if not fold:
+            continue
+        elements = np.array(sum_sets, dtype=np.int64).reshape(len(rows), 3, group.rank)
+        start = 0
+        for q, lattice_rows in lattices:
+            lattice_specs = [specs[i] for i in lattice_rows]
+            stop = start + len(lattice_specs)
+            matches = _fold_matches(lattice_specs[0], q, elements[start:stop], lattice_specs)
+            for t, match in zip(lattice_specs, matches):
+                if not match:
+                    raise InvariantViolation(
+                        f"fold does not match the Cayley sum graph for {t.as_tuple()}"
+                    )
+            start = stop
+    return reports
+
+
+def classify_chunk(specs: Sequence[TriangleSpec]) -> list[FullereneReport]:
+    """classify() of each spec, in order.  The group, sum set and spectrum are
+    derived, the counting and spectral invariants checked, and each spec
+    reported; quotients are shared per lattice and spectrum DFTs per group."""
+    return _check_chunk(specs, fold=False)
+
+
+def verify_chunk(specs: Sequence[TriangleSpec]) -> list[FullereneReport]:
+    """verify_spec() of each spec, in order: classify_chunk plus the geometric
+    cross-check, one stacked fold check per lattice.  The folded
+    triangulation must be isomorphic (via the quotient labelling) to the
+    Cayley sum graph."""
+    return _check_chunk(specs, fold=True)
+
+
 def classify(t: TriangleSpec) -> FullereneReport:
     """Derive the group, sum set and spectrum, check the counting and spectral
-    invariants, and report."""
-    return _pipeline(t)[2]
+    invariants, and report: classify_chunk on the one spec."""
+    return classify_chunk([t])[0]
 
 
 def verify_spec(t: TriangleSpec) -> FullereneReport:
-    """classify() plus the geometric cross-check: the folded triangulation must
-    be isomorphic (via the quotient labelling) to the Cayley sum graph."""
-    q, s, report = _pipeline(t)
-    if not _fold_matches(t, q, s):
-        raise InvariantViolation(f"fold does not match the Cayley sum graph for {t.as_tuple()}")
-    return report
+    """classify() plus the geometric cross-check: verify_chunk on the one spec."""
+    return verify_chunk([t])[0]
 
 
 def enumerate_specs(max_index: int) -> Iterator[TriangleSpec]:

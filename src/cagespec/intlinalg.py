@@ -39,7 +39,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> IntMatrix:
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(map(int, row)) for row in rows))
 
     @classmethod
     def identity(cls, d: int) -> IntMatrix:

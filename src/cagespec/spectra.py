@@ -7,9 +7,10 @@ eigensolver, Householder tridiagonalization plus Sturm multisection, that
 knows nothing about the group structure.
 
 The character sums chi_a(S) over Z_n1 x ... x Z_nk are the multidimensional
-DFT of S's multiplicity array, so all paired magnitudes come from one
-np.fft.fftn; the real characters keep exact integer parity sums, and the two
-routes are compared at the involutive labels.
+DFT of S's multiplicity array, so all paired magnitudes come from one DFT,
+shared by a whole stack of sum sets over one group; the real characters keep
+exact integer parity sums, and the two routes are compared at the involutive
+labels.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .abelian import FiniteAbelianGroup
-from .caysum import CaySumGraph, InvariantViolation, SumSet, total_semiedge_count
+from .abelian import Element, FiniteAbelianGroup
+from .caysum import CaySumGraph, InvariantViolation, SumSet, semiedge_count
 
 __all__ = [
     "EIGENSOLVER_TOL",
@@ -34,6 +35,7 @@ __all__ = [
     "InvariantViolation",
     "character_spectrum",
     "sum_set_spectrum",
+    "sum_set_spectra",
     "canonical_unmatched",
     "spectrum_is_paired",
     "eigenvectors",
@@ -96,28 +98,33 @@ def _dft_slices(moduli: tuple[int, ...]) -> tuple[list[tuple[slice, ...]], tuple
     return reps, invol
 
 
-def _character_dft(group: FiniteAbelianGroup, s: SumSet) -> np.ndarray:
-    """All character sums at once: the DFT of S's multiplicity array.
+def _character_dft(group: FiniteAbelianGroup, sum_sets) -> np.ndarray:
+    """All character sums of a list of sum sets (sequences of reduced
+    elements) at once: the DFT of each set's multiplicity array, shape
+    (len(sum_sets), *moduli).
 
-    np.fft.fftn computes sum_x m[x] exp(-2 pi i a.x / n), which is the complex
-    conjugate of chi_a(S); magnitudes and real values are unaffected.
+    np.fft.fft along each group axis, last first, is what np.fft.fftn does,
+    so row i equals np.fft.fftn of S_i's multiplicity array bit for bit: it
+    is sum_x m[x] exp(-2 pi i a.x / n), the complex conjugate of chi_a(S);
+    magnitudes and real values are unaffected.
     """
-    mult = np.zeros(group.moduli, dtype=np.int64)
-    for x in s.elements:
-        mult[x] += 1
-    return np.fft.fftn(mult)
+    chi = np.zeros((len(sum_sets), *group.moduli), dtype=np.int64)
+    for i, s in enumerate(sum_sets):
+        for x in s:
+            chi[(i, *x)] += 1
+    for axis in range(group.rank, 0, -1):
+        chi = np.fft.fft(chi, axis=axis)
+    return chi
 
 
-def _real_character_values(group: FiniteAbelianGroup, s: SumSet) -> list[int]:
-    """Exact chi_a(S) for every involutive label a, in lexicographic order."""
-    values = []
-    for a in group.involutive_elements():
-        active = tuple(j for j, aj in enumerate(a) if aj != 0)
-        total = 0
-        for x in s.elements:
-            total += -1 if sum(x[j] for j in active) % 2 else 1
-        values.append(total)
-    return values
+def _parity_sums(group: FiniteAbelianGroup, sum_sets) -> list[list[int]]:
+    """Exact chi_a(S) at every involutive label a, in lexicographic order, for
+    each sum set S (a sequence of reduced elements) in sum_sets."""
+    actives = [[j for j, aj in enumerate(a) if aj] for a in group.involutive_elements()]
+    return [
+        [sum(-1 if sum(x[j] for j in active) % 2 else 1 for x in s) for active in actives]
+        for s in sum_sets
+    ]
 
 
 def sum_set_spectrum(
@@ -125,44 +132,69 @@ def sum_set_spectrum(
     s: SumSet,
     semiedge_total: int | None = None,
 ) -> SpectrumPartition:
-    """Exact spectrum partition of CayS(group, s) straight from the sum set.
+    """Exact spectrum partition of CayS(group, s) straight from the sum set:
+    sum_set_spectra on the one row s."""
+    if s.group != group:
+        raise ValueError("sum set belongs to a different group")
+    totals = None if semiedge_total is None else [semiedge_total]
+    return sum_set_spectra(group, [s.elements], totals)[0]
+
+
+def sum_set_spectra(
+    group: FiniteAbelianGroup,
+    sum_sets: Sequence[Sequence[Element]],
+    semiedge_totals: Sequence[int] | None = None,
+    names: Sequence | None = None,
+) -> list[SpectrumPartition]:
+    """Exact spectrum partitions of CayS(group, S_i) for sum sets S_i of
+    reduced elements, unchecked, from one stacked DFT.
 
     Real (involutive) characters contribute chi(S) as exact integers from
     parity sums; each conjugate character pair contributes the magnitude
-    |chi(S)| once, read from one DFT of S's multiplicity array.  Two checks
-    compare independent routes: the DFT values at the involutive labels must
-    match the exact integers, and the semiedge total (the adjacency trace,
-    recomputed arithmetically unless supplied) must equal their sum.
+    |chi(S)| once, read from the DFT of S's multiplicity array.  Two checks
+    compare independent routes on each row: the DFT values at the involutive
+    labels must match the exact integers, and the semiedge total (the
+    adjacency trace, recomputed arithmetically unless supplied) must equal
+    their sum.  A failed check names row i by names[i] when given, else by
+    the moduli.
     """
-    if s.group != group:
-        raise ValueError("sum set belongs to a different group")
-    raw = _real_character_values(group, s)
-    paired: list[float] = []
-    if group.moduli:
+    raw = _parity_sums(group, sum_sets)
+    k = len(raw)
+    paired = [[]] * k
+    if group.moduli and k:
         reps, invol = _dft_slices(group.moduli)
-        chi = _character_dft(group, s)
-        real = chi[invol].ravel()
-        if np.max(np.abs(real - raw)) > MATCH_TOL:
+        chi = _character_dft(group, sum_sets)
+        real = chi[(slice(None), *invol)].reshape(k, -1)
+        err = np.abs(real - raw)
+        if err.max() > MATCH_TOL:
+            i = int(err.max(axis=1).argmax())
             raise InvariantViolation(
-                f"DFT values at the real characters {real.real.tolist()} "
-                f"!= exact parity sums {raw} for moduli {group.moduli}"
+                f"DFT values at the real characters {real[i].real.tolist()} != exact "
+                f"parity sums {raw[i]} for {_row_name(group, names, i)}"
             )
-        paired = np.sort(np.abs(np.concatenate([chi[r] for r in reps], axis=None)))[::-1].tolist()
+        pairs = [chi[(slice(None), *r)].reshape(k, -1) for r in reps]
+        pairs = np.abs(pairs[0] if len(pairs) == 1 else np.concatenate(pairs, axis=1))
+        paired = np.sort(pairs, axis=1)[:, ::-1].tolist()
 
-    if semiedge_total is None:
-        semiedge_total = total_semiedge_count(group, s)
-    if sum(raw) != semiedge_total:
-        raise InvariantViolation(
-            f"trace identity violated: sum of real character values {sum(raw)} "
-            f"!= semiedge total {semiedge_total}"
-        )
-    raw_sorted = tuple(sorted(raw, reverse=True))
-    return SpectrumPartition(
-        semiedge_total=semiedge_total,
-        unmatched_raw=raw_sorted,
-        unmatched_canonical=canonical_unmatched(raw_sorted),
-        paired=tuple(paired),
-    )
+    if semiedge_totals is None:
+        semiedge_totals = [semiedge_count(group, s) for s in sum_sets]
+    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
+    parts = []
+    for i, (values, total, pair) in enumerate(zip(raw, semiedge_totals, paired)):
+        if sum(values) != total:
+            raise InvariantViolation(
+                f"trace identity violated: sum of real character values {sum(values)} "
+                f"!= semiedge total {total} for {_row_name(group, names, i)}"
+            )
+        values = tuple(sorted(values, reverse=True))
+        if values not in canonical:
+            canonical[values] = canonical_unmatched(values)
+        parts.append(SpectrumPartition(total, values, canonical[values], tuple(pair)))
+    return parts
+
+
+def _row_name(group: FiniteAbelianGroup, names: Sequence | None, i: int) -> str:
+    return f"moduli {group.moduli}" if names is None else str(names[i])
 
 
 def character_spectrum(graph: CaySumGraph) -> SpectrumPartition:
@@ -252,7 +284,7 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
         residual = float(np.max(np.abs(adjacency @ vec - value * vec)))
         pairs.append(EigenPair(value=value, vector=vec, residual=residual))
 
-    raw = _real_character_values(group, graph.sum_set)
+    raw = _parity_sums(group, [graph.sum_set.elements])[0]
     for a, value in zip(group.involutive_elements(), raw):
         active = [j for j, aj in enumerate(a) if aj != 0]
         finish(float(value), 1.0 - 2.0 * (labels[active].sum(axis=0) % 2))
@@ -261,7 +293,7 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
         return pairs
     index = np.arange(group.order).reshape(moduli)
     reps = np.sort(np.concatenate([index[r] for r in _dft_slices(moduli)[0]], axis=None))
-    chi_s = np.conj(_character_dft(group, graph.sum_set).ravel()[reps])
+    chi_s = np.conj(_character_dft(group, [graph.sum_set.elements]).ravel()[reps])
     den = group._lcm
     # exact integer phases of every pair representative at every element
     phases = ((labels[:, reps].T * (den // np.array(moduli))) @ labels) % den

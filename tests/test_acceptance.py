@@ -4,6 +4,7 @@ tolerance, so a verbose run reports one pass/fail line per guarantee."""
 from __future__ import annotations
 
 import cmath
+import json
 import random
 import time
 
@@ -113,8 +114,9 @@ def test_exhaustive_sweep_to_index_200_has_no_violations(capsys):
     elapsed = time.perf_counter() - started
     assert code == 0
     expected_total = 4 * sum(d * (200 // d) for d in range(1, 201))
-    assert f"verified {expected_total} specs (max index 200)" in out
-    assert "violations: 0" in out
+    summary = json.loads(out)
+    assert (summary["specs"], summary["max_index"]) == (expected_total, 200)
+    assert summary["violations"] == 0
     assert elapsed < 300.0
 
 

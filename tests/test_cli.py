@@ -426,23 +426,40 @@ def test_verify_single_spec(capsys):
 def test_verify_sweep_summary(capsys):
     code, out, _ = run_cli(["verify", "--max-index", "6"], capsys)
     assert code == 0
-    assert "verified 132 specs (max index 6)" in out
-    assert "violations: 0" in out
+    summary = json.loads(out)
+    assert (summary["specs"], summary["max_index"]) == (132, 6)
+    assert summary["violations"] == 0
     code, parallel, _ = run_cli(["verify", "--max-index", "6", "--jobs", "2"], capsys)
     assert code == 0
     assert parallel == out
 
 
+def test_verify_sweep_json_shape_and_human_line(capsys):
+    code, out, err = run_cli(["verify", "--max-index", "6", "--jobs", "1"], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "specs": 132,
+        "max_index": 6,
+        "cases": {"a": 1, "b": 42, "c": 44, "d": 45},
+        "violations": 0,
+    }
+    code, out, _ = run_cli(["verify", "--max-index", "6", "--format", "human"], capsys)
+    assert code == 0
+    assert out == "verified 132 specs (max index 6); cases a=1 b=42 c=44 d=45; violations: 0\n"
+
+
 def test_verify_reports_a_spectrum_check_failure_as_exit_3(capsys, monkeypatch):
     # corrupt the DFT route only: the trivial character no longer matches |S|
-    fftn = spectra.np.fft.fftn
+    fft = spectra.np.fft.fft
 
-    def shifted(a):
-        out = fftn(a)
+    def shifted(a, axis=-1):
+        out = fft(a, axis=axis)
         out.flat[0] += 0.5
         return out
 
-    monkeypatch.setattr(spectra.np.fft, "fftn", shifted)
+    monkeypatch.setattr(spectra.np.fft, "fft", shifted)
     code, out, err = run_cli(["verify", "--spec", "6,2,-2,6,1,0"], capsys)
     assert code == 3
     assert out == ""
@@ -595,6 +612,7 @@ def test_bad_jobs_env_fails_only_the_sweeps(value, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "--jobs" in err
+    assert "CAGESPEC_JOBS" in err
     code, _, _ = run_cli(["census", "--max-index", "1", "--jobs", "1"], capsys)
     assert code == 0
     code, out, _ = run_cli(["snf", GOLDEN_LATTICE], capsys)

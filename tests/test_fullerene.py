@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from cagespec import fullerene, spectra
 from cagespec.abelian import DegenerateLatticeError
 from cagespec.caysum import SumSet, cayley_sum_graph
+from cagespec.cli import main
 from cagespec.fullerene import (
     CASE_TABLE,
     FoldedGraph,
@@ -16,12 +18,14 @@ from cagespec.fullerene import (
     TriangleSpec,
     _fold_matches,
     classify,
+    classify_chunk,
     enumerate_specs,
     face_census,
     fold_construction,
     group_and_sumset,
     is_non_obtuse,
     reduce_triangle_basis,
+    verify_chunk,
     verify_isomorphism,
     verify_spec,
 )
@@ -301,6 +305,90 @@ def test_verify_spec_reports_and_passes():
     assert report.case == "d"
     for t in enumerate_specs(5):
         verify_spec(t)
+
+
+# --- chunks ------------------------------------------------------------------
+#
+# A chunk shares one quotient and one fold kernel per lattice and one spectrum
+# DFT per group; shuffled chunks split lattices apart and mix moduli.
+
+def test_chunks_report_exactly_what_single_specs_report():
+    specs = [*enumerate_specs(60), *extra_fold_specs()]
+    random.Random(RNG_SEED + 2).shuffle(specs)
+    single = [classify(t) for t in specs]
+    cases = Counter(report.case for report in single)
+    for size in (3, 7, 256):
+        chunks = [specs[i : i + size] for i in range(0, len(specs), size)]
+        assert [report for chunk in chunks for report in classify_chunk(chunk)] == single
+        verified = [report for chunk in chunks for report in verify_chunk(chunk)]
+        assert Counter(report.case for report in verified) == cases
+        assert verified == single
+
+
+def test_chunk_of_one_is_the_single_spec_call():
+    t = TriangleSpec(6, 2, -2, 6, 1, 0)
+    assert classify_chunk([t]) == [classify(t)]
+    assert verify_chunk([t]) == [verify_spec(t)]
+    assert classify_chunk([]) == verify_chunk([]) == []
+
+
+# A chunk holding the four translations of two lattices with equal quotients
+# Z_2 x Z_4, so one DFT stack of eight distinct sum sets and two fold stacks;
+# the target is a middle row of both.
+ATTRIBUTION_CHUNK = [
+    TriangleSpec(*pqrs, p1, p2) for pqrs in ((2, 0, 0, 4), (4, 0, 2, 2)) for p1, p2 in TRANSLATIONS
+]
+ATTRIBUTION_TARGET = ATTRIBUTION_CHUNK[5]
+ATTRIBUTION_OTHERS = [t for t in ATTRIBUTION_CHUNK if t != ATTRIBUTION_TARGET]
+
+
+def corrupt_dft_row(monkeypatch, target: TriangleSpec) -> None:
+    """Shift the trivial-character value of the target's row of every
+    stacked DFT, found by its sorted sum set."""
+    character_dft = spectra._character_dft
+    _, s = group_and_sumset(target)
+
+    def corrupted(group, sum_sets):
+        chi = character_dft(group, sum_sets)
+        for row, elements in enumerate(sum_sets):
+            if group == s.group and tuple(elements) == s.elements:
+                chi[row].flat[0] += 0.5
+        return chi
+
+    monkeypatch.setattr(spectra, "_character_dft", corrupted)
+
+
+def corrupt_fold_member(monkeypatch, target: TriangleSpec) -> None:
+    """Move one neighbour of the target's member of every stacked fold."""
+    fold_neighbours = fullerene._fold_neighbours
+
+    def corrupted(specs):
+        folds = fold_neighbours(specs)
+        for member, t in enumerate(specs):
+            if t == target:
+                folds[member, 0, 0, 0] = (folds[member, 0, 0, 0] + 1) % t.index
+        return folds
+
+    monkeypatch.setattr(fullerene, "_fold_neighbours", corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_dft_row, corrupt_fold_member])
+def test_a_failed_check_names_its_own_spec(corrupt, monkeypatch, capsys):
+    corrupt(monkeypatch, ATTRIBUTION_TARGET)
+    with pytest.raises(InvariantViolation) as failure:
+        verify_chunk(ATTRIBUTION_CHUNK)
+    message = str(failure.value)
+    assert str(ATTRIBUTION_TARGET.as_tuple()) in message
+    assert not any(str(t.as_tuple()) in message for t in ATTRIBUTION_OTHERS)
+    assert verify_chunk(ATTRIBUTION_OTHERS)
+    # in the sweep the target shares a chunk with the 47 other specs whose
+    # quotient is Z_6, and no other of them has its sum set
+    target = TriangleSpec(6, 0, 5, 1, 1, 1)
+    corrupt(monkeypatch, target)
+    assert main(["verify", "--max-index", "6", "--jobs", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(target.as_tuple()) in err
 
 
 # --- basis normalization -----------------------------------------------------
