@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -26,6 +26,7 @@ __all__ = [
     "cayley_graph",
     "total_semiedge_count",
     "semiedge_count",
+    "semiedge_counts",
     "sum_set_difference",
     "translate_sum_set",
     "graph_to_json",
@@ -168,15 +169,32 @@ def total_semiedge_count(group: FiniteAbelianGroup, s: SumSet) -> int:
 
 def semiedge_count(group: FiniteAbelianGroup, elements) -> int:
     """Total semiedge count of CayS(group, S) for a multiset S of reduced
-    elements (sequences of residues), without checking them.
+    elements (sequences of residues), without checking them: semiedge_counts
+    on the one row S."""
+    rows = np.array(elements, dtype=np.int64).reshape(1, len(elements), group.rank)
+    return int(semiedge_counts(group, rows)[0])
+
+
+def semiedge_counts(group: FiniteAbelianGroup, elements: np.ndarray) -> np.ndarray:
+    """Total semiedge counts of CayS(group, S_i) for a (K, m, rank) integer
+    array of K multisets S_i of reduced elements, as a (K,) array.
 
     Counted arithmetically: each g in S contributes one semiedge per solution
     of 2u = g.  Solution counts factor over the coordinates (an odd modulus
     always has exactly one, an even modulus has two when the coordinate is
-    even and none otherwise), so no graph is built.
+    even and none otherwise), so no graph is built: only the parities of the
+    even-modulus coordinates are read.
     """
-    even = [j for j, n in enumerate(group.moduli) if n % 2 == 0]
-    return sum(1 for g in elements if not any(g[j] % 2 for j in even)) << len(even)
+    even, n_even = _even_moduli(group.moduli)
+    return ((elements & 1) @ even == 0).sum(axis=1) << n_even
+
+
+@lru_cache(maxsize=1024)
+def _even_moduli(moduli: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The read-only (rank,) 0/1 indicator of the even moduli, and their number."""
+    even = np.array([n % 2 == 0 for n in moduli], dtype=np.int64)
+    even.flags.writeable = False
+    return even, int(even.sum())
 
 
 def cayley_graph(group: FiniteAbelianGroup, connection: SumSet) -> np.ndarray:

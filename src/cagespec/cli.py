@@ -382,12 +382,26 @@ def _cmd_spectrum(args) -> int:
 
 
 def _dedup_key(report: FullereneReport) -> tuple:
-    return (
-        report.n_vertices,
-        report.semiedges,
-        report.moduli,
-        tuple(round(v, 9) for v in report.full_spectrum()),
-    )
+    """The --dedup class: order, semiedges, moduli and the full spectrum
+    rounded to 9 decimals, held exactly as the sorted integers 10^9 v.
+
+    round(v, 9) is monotone and odd, so the rounded spectrum is the raw
+    integers with +-round(p, 9) for each paired magnitude p, and round(p, 9)
+    is the double nearest m / 10^9 for the integer m nearest p 10^9.  The
+    product p * 1e9 is off by under 1e-6 for |p| < 9 (a cubic graph has
+    |p| <= 3), so rounding it gives m unless it lies that close to a
+    half-integer; there m is read off round(p, 9) itself.
+    """
+    values = [v * 1_000_000_000 for v in report.unmatched_raw]
+    for p in report.paired:
+        x = p * 1e9
+        m = round(x)
+        if abs(x - m) > 0.5 - 1e-6:
+            m = round(round(p, 9) * 1e9)
+        values.append(m)
+        values.append(-m)
+    values.sort()
+    return (report.n_vertices, report.semiedges, report.moduli, tuple(values))
 
 
 def _census_csv_cells(report: FullereneReport) -> list:

@@ -355,8 +355,9 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneRep
     """Reports of classify_chunk, plus the fold check of verify_chunk when fold.
 
     Specs sharing a lattice (p, q, r, s) share its quotient and one stacked
-    fold check; specs whose quotients are equal groups share one stacked
-    spectrum DFT.  Every check still runs on each spec's own sum set.
+    fold check; specs whose quotients are equal groups share one element
+    array and one stacked spectrum DFT.  Every check still runs on each
+    spec's own sum set.
     """
     by_lattice: dict[tuple[int, int, int, int], list[int]] = {}
     for i, t in enumerate(specs):
@@ -376,12 +377,12 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneRep
             for q, lattice_rows in lattices
             for i in lattice_rows
         ]
-        parts = sum_set_spectra(group, sum_sets, names=[specs[i] for i in rows])
+        elements = np.array(sum_sets, dtype=np.int64).reshape(len(rows), 3, group.rank)
+        parts = sum_set_spectra(group, elements, names=[specs[i] for i in rows])
         for i, sum_set, part in zip(rows, sum_sets, parts):
             reports[i] = _report(specs[i], group, sum_set, part)
         if not fold:
             continue
-        elements = np.array(sum_sets, dtype=np.int64).reshape(len(rows), 3, group.rank)
         start = 0
         for q, lattice_rows in lattices:
             lattice_specs = [specs[i] for i in lattice_rows]

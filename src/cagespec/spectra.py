@@ -19,12 +19,13 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .abelian import Element, FiniteAbelianGroup
-from .caysum import CaySumGraph, InvariantViolation, SumSet, semiedge_count
+from .caysum import CaySumGraph, InvariantViolation, SumSet, semiedge_counts
 
 __all__ = [
     "EIGENSOLVER_TOL",
@@ -86,45 +87,65 @@ class SpectrumPartition:
         }
 
 
-def _dft_slices(moduli: tuple[int, ...]) -> tuple[list[tuple[slice, ...]], tuple[slice, ...]]:
-    """Index tuples into a moduli-shaped array (nonempty moduli): per axis j, the
-    conjugate-pair representatives a < -a whose first non-involutive coordinate
-    is a_j, which holds iff a_j lies in [1, (n_j + 1) // 2); and the involutive
-    labels, every a_j 0 or n_j / 2, in lexicographic order."""
+@lru_cache(maxsize=1024)
+def _moduli_tables(
+    moduli: tuple[int, ...],
+) -> tuple[np.ndarray, tuple[tuple[slice, ...], ...], tuple[slice, ...]]:
+    """What the spectra over one moduli tuple share, computed once per tuple:
+    the read-only (rank, |G[2]|) 0/1 activity matrix, entry (j, c) set iff
+    coordinate j of the c-th involutive label (lexicographic order) is
+    nonzero; and two index tuples into a moduli-shaped array: per axis j, the
+    conjugate-pair representatives a < -a whose first non-involutive
+    coordinate is a_j, which holds iff a_j lies in [1, (n_j + 1) // 2); and
+    the involutive labels, every a_j 0 or n_j / 2, in lexicographic order."""
+    labels = FiniteAbelianGroup(moduli).involutive_elements()
+    activity = np.array(labels, dtype=np.int64).reshape(len(labels), len(moduli)).T != 0
+    activity = activity.astype(np.int64)
+    activity.flags.writeable = False
     invol, reps = (), []
     for n in moduli:
         reps.append(invol + (slice(1, (n + 1) // 2),))
         invol += (slice(0, None, n // 2 if n % 2 == 0 else n),)
-    return reps, invol
+    return activity, tuple(reps), invol
 
 
-def _character_dft(group: FiniteAbelianGroup, sum_sets) -> np.ndarray:
-    """All character sums of a list of sum sets (sequences of reduced
-    elements) at once: the DFT of each set's multiplicity array, shape
-    (len(sum_sets), *moduli).
+def _element_stack(sum_sets, rank: int) -> np.ndarray:
+    """sum_sets as a (K, m, rank) int64 array: a (K, m, rank) array as it is,
+    or K sequences of m reduced elements each.  Sequences of unequal sizes
+    raise ValueError."""
+    if not isinstance(sum_sets, np.ndarray) and len({len(s) for s in sum_sets}) > 1:
+        raise ValueError("sum sets of unequal sizes cannot share a stack")
+    k = len(sum_sets)
+    return np.asarray(sum_sets, dtype=np.int64).reshape(k, len(sum_sets[0]) if k else 0, rank)
+
+
+def _parity_sums(elements: np.ndarray, activity: np.ndarray) -> np.ndarray:
+    """Exact chi_a(S) at every involutive label a, in lexicographic order, for
+    each row S of a (K, m, rank) element array, as a (K, |G[2]|) array:
+    chi_a(x) is -1 to the sum of x's coordinates where a is nonzero."""
+    odd = (elements @ activity) & 1
+    return elements.shape[1] - 2 * odd.sum(axis=1)
+
+
+def _character_dft(group: FiniteAbelianGroup, elements: np.ndarray) -> np.ndarray:
+    """All character sums of the K sum sets of a (K, m, rank) element array
+    at once: the DFT of each set's multiplicity array, shape (K, *moduli).
+    The multiplicities are one bincount of the elements' flat indices into
+    that (K, *moduli) stack.
 
     np.fft.fft along each group axis, last first, is what np.fft.fftn does,
     so row i equals np.fft.fftn of S_i's multiplicity array bit for bit: it
     is sum_x m[x] exp(-2 pi i a.x / n), the complex conjugate of chi_a(S);
     magnitudes and real values are unaffected.
     """
-    chi = np.zeros((len(sum_sets), *group.moduli), dtype=np.int64)
-    for i, s in enumerate(sum_sets):
-        for x in s:
-            chi[(i, *x)] += 1
-    for axis in range(group.rank, 0, -1):
+    k, m, rank = elements.shape
+    shape = (k, *group.moduli)
+    rows = np.arange(k).repeat(m)
+    index = np.ravel_multi_index((rows, *elements.reshape(k * m, rank).T), shape)
+    chi = np.bincount(index, minlength=k * group.order).reshape(shape)
+    for axis in range(rank, 0, -1):
         chi = np.fft.fft(chi, axis=axis)
     return chi
-
-
-def _parity_sums(group: FiniteAbelianGroup, sum_sets) -> list[list[int]]:
-    """Exact chi_a(S) at every involutive label a, in lexicographic order, for
-    each sum set S (a sequence of reduced elements) in sum_sets."""
-    actives = [[j for j, aj in enumerate(a) if aj] for a in group.involutive_elements()]
-    return [
-        [sum(-1 if sum(x[j] for j in active) % 2 else 1 for x in s) for active in actives]
-        for s in sum_sets
-    ]
 
 
 def sum_set_spectrum(
@@ -142,55 +163,61 @@ def sum_set_spectrum(
 
 def sum_set_spectra(
     group: FiniteAbelianGroup,
-    sum_sets: Sequence[Sequence[Element]],
+    sum_sets: np.ndarray | Sequence[Sequence[Element]],
     semiedge_totals: Sequence[int] | None = None,
     names: Sequence | None = None,
 ) -> list[SpectrumPartition]:
-    """Exact spectrum partitions of CayS(group, S_i) for sum sets S_i of
-    reduced elements, unchecked, from one stacked DFT.
+    """Exact spectrum partitions of CayS(group, S_i) for K sum sets S_i of m
+    reduced elements each, unchecked: a (K, m, rank) integer array, or K
+    sequences of m elements (sum sets of unequal sizes raise ValueError).
 
     Real (involutive) characters contribute chi(S) as exact integers from
     parity sums; each conjugate character pair contributes the magnitude
-    |chi(S)| once, read from the DFT of S's multiplicity array.  Two checks
-    compare independent routes on each row: the DFT values at the involutive
-    labels must match the exact integers, and the semiedge total (the
-    adjacency trace, recomputed arithmetically unless supplied) must equal
-    their sum.  A failed check names row i by names[i] when given, else by
-    the moduli.
+    |chi(S)| once, read from one stacked DFT of the multiplicity arrays.  Two
+    checks compare independent routes on each row: the DFT values at the
+    involutive labels must match the exact integers, and the semiedge total
+    (the adjacency trace, counted from the parities of the even-modulus
+    coordinates unless supplied) must equal their sum.  A failed check names
+    row i by names[i] when given, else by the moduli.
     """
-    raw = _parity_sums(group, sum_sets)
-    k = len(raw)
-    paired = [[]] * k
+    elements = _element_stack(sum_sets, group.rank)
+    k = len(elements)
+    activity, reps, invol = _moduli_tables(group.moduli)
+    raw = _parity_sums(elements, activity)
+    paired = [()] * k
     if group.moduli and k:
-        reps, invol = _dft_slices(group.moduli)
-        chi = _character_dft(group, sum_sets)
+        chi = _character_dft(group, elements)
         real = chi[(slice(None), *invol)].reshape(k, -1)
         err = np.abs(real - raw)
         if err.max() > MATCH_TOL:
             i = int(err.max(axis=1).argmax())
             raise InvariantViolation(
                 f"DFT values at the real characters {real[i].real.tolist()} != exact "
-                f"parity sums {raw[i]} for {_row_name(group, names, i)}"
+                f"parity sums {raw[i].tolist()} for {_row_name(group, names, i)}"
             )
         pairs = [chi[(slice(None), *r)].reshape(k, -1) for r in reps]
         pairs = np.abs(pairs[0] if len(pairs) == 1 else np.concatenate(pairs, axis=1))
         paired = np.sort(pairs, axis=1)[:, ::-1].tolist()
 
     if semiedge_totals is None:
-        semiedge_totals = [semiedge_count(group, s) for s in sum_sets]
-    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
+        semiedge_totals = semiedge_counts(group, elements).tolist()
     parts = []
-    for i, (values, total, pair) in enumerate(zip(raw, semiedge_totals, paired)):
+    for i, (values, total, pair) in enumerate(zip(raw.tolist(), semiedge_totals, paired)):
         if sum(values) != total:
             raise InvariantViolation(
                 f"trace identity violated: sum of real character values {sum(values)} "
                 f"!= semiedge total {total} for {_row_name(group, names, i)}"
             )
-        values = tuple(sorted(values, reverse=True))
-        if values not in canonical:
-            canonical[values] = canonical_unmatched(values)
-        parts.append(SpectrumPartition(total, values, canonical[values], tuple(pair)))
+        values, canonical = _sorted_and_canonical(tuple(values))
+        parts.append(SpectrumPartition(total, values, canonical, tuple(pair)))
     return parts
+
+
+@lru_cache(maxsize=1024)
+def _sorted_and_canonical(values: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The multiset values, descending, and its canonical_unmatched form."""
+    values = tuple(sorted(values, reverse=True))
+    return values, canonical_unmatched(values)
 
 
 def _row_name(group: FiniteAbelianGroup, names: Sequence | None, i: int) -> str:
@@ -284,16 +311,18 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
         residual = float(np.max(np.abs(adjacency @ vec - value * vec)))
         pairs.append(EigenPair(value=value, vector=vec, residual=residual))
 
-    raw = _parity_sums(group, [graph.sum_set.elements])[0]
-    for a, value in zip(group.involutive_elements(), raw):
-        active = [j for j, aj in enumerate(a) if aj != 0]
-        finish(float(value), 1.0 - 2.0 * (labels[active].sum(axis=0) % 2))
+    elements = graph.sum_set.array[None]
+    activity, rep_slices, _ = _moduli_tables(moduli)
+    # row c: chi_a at every element for the c-th involutive label a
+    signs = 1.0 - 2.0 * ((activity.T @ labels) & 1)
+    for value, vec in zip(_parity_sums(elements, activity)[0].tolist(), signs):
+        finish(float(value), vec)
 
     if not moduli:
         return pairs
     index = np.arange(group.order).reshape(moduli)
-    reps = np.sort(np.concatenate([index[r] for r in _dft_slices(moduli)[0]], axis=None))
-    chi_s = np.conj(_character_dft(group, [graph.sum_set.elements]).ravel()[reps])
+    reps = np.sort(np.concatenate([index[r] for r in rep_slices], axis=None))
+    chi_s = np.conj(_character_dft(group, elements).ravel()[reps])
     den = group._lcm
     # exact integer phases of every pair representative at every element
     phases = ((labels[:, reps].T * (den // np.array(moduli))) @ labels) % den

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
+import random
 import re
 import shutil
 import subprocess
@@ -17,7 +20,13 @@ from hypothesis import strategies as st
 
 from cagespec import cli, spectra
 from cagespec.cli import MAX_ORDER, SPECTRUM_MAX_ORDER, main
-from cagespec.fullerene import FoldedGraph
+from cagespec.fullerene import (
+    FoldedGraph,
+    TriangleSpec,
+    classify,
+    classify_chunk,
+    enumerate_specs,
+)
 
 GOLDEN_LATTICE = "[[6, -2], [2, 6]]"
 
@@ -409,6 +418,70 @@ def test_census_jobs_env_fallback(capsys, monkeypatch):
     code, via_env, _ = run_cli(["census", "--max-index", "2"], capsys)
     assert code == 0
     assert via_env == serial
+
+
+def test_census_dedup_bytes_to_index_sixty(capsys):
+    code, out, err = run_cli(["census", "--max-index", "60", "--dedup", "--jobs", "1"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "149abcc7dda96b78440d1a0d39628578769be09ff22453ae74d1584d163133db"
+    )
+    assert "12056 specs, 1033 rows" in err
+
+
+# --- the --dedup class ---------------------------------------------------------
+#
+# The class was first keyed by the full spectrum rounded with round(v, 9);
+# the integer key must give exactly the same partition.
+
+def rounded_key(report) -> tuple:
+    full = report.full_spectrum()
+    return (report.n_vertices, report.semiedges, report.moduli, tuple(round(v, 9) for v in full))
+
+
+def assert_same_classes(reports) -> None:
+    rounded = [rounded_key(report) for report in reports]
+    exact = [cli._dedup_key(report) for report in reports]
+    assert len(set(rounded)) == len(set(exact)) == len(set(zip(rounded, exact)))
+    for old, new in zip(rounded, exact):
+        assert new[:3] == old[:3]
+        assert all(type(v) is int for v in new[3])
+        # 10^9 times each rounded value, exactly
+        assert list(new[3]) == sorted(round(v * 1e9) for v in old[3])
+
+
+def test_dedup_key_keeps_the_rounded_classes():
+    # (93, 0, 7, 1, 0, 1) has the paired magnitude closest to a 9-digit
+    # rounding boundary at index <= 120: 3.24e-14 away
+    specs = [*enumerate_specs(60), TriangleSpec(93, 0, 7, 1, 0, 1)]
+    reports = [r for i in range(0, len(specs), 256) for r in classify_chunk(specs[i : i + 256])]
+    assert_same_classes(reports)
+
+
+def test_dedup_key_at_nine_digit_half_way_points():
+    base = classify(TriangleSpec(6, 2, -2, 6, 1, 0))
+    rng = random.Random(0xDED0)
+    magnitudes = []
+    for _ in range(200):
+        half = (rng.randrange(3 * 10**9) + 0.5) / 1e9
+        magnitudes += [
+            half,
+            math.nextafter(half, 0.0),
+            math.nextafter(half, 4.0),
+            half - 5e-13,
+            half + 5e-13,
+        ]
+    scaled = [p * 1e9 for p in magnitudes]
+    # the fallback runs for the half-way doubles and their neighbours, and
+    # rounding p * 1e9 alone would misplace some of them
+    fallback = [abs(x - round(x)) > 0.5 - 1e-6 for x in scaled]
+    assert fallback.count(True) == 600
+    assert any(round(x) != round(round(p, 9) * 1e9) for p, x in zip(magnitudes, scaled))
+    reports = [
+        dataclasses.replace(base, paired=tuple(sorted((p, *base.paired[1:]), reverse=True)))
+        for p in magnitudes
+    ]
+    assert_same_classes(reports)
 
 
 # --- verify ------------------------------------------------------------------

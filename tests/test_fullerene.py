@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -342,24 +343,43 @@ ATTRIBUTION_TARGET = ATTRIBUTION_CHUNK[5]
 ATTRIBUTION_OTHERS = [t for t in ATTRIBUTION_CHUNK if t != ATTRIBUTION_TARGET]
 
 
-def corrupt_dft_row(monkeypatch, target: TriangleSpec) -> None:
+def corrupt_dft_row(monkeypatch, target: TriangleSpec) -> str:
     """Shift the trivial-character value of the target's row of every
-    stacked DFT, found by its sorted sum set."""
+    stacked DFT, found by its sorted sum set; returns the failed check."""
     character_dft = spectra._character_dft
     _, s = group_and_sumset(target)
 
-    def corrupted(group, sum_sets):
-        chi = character_dft(group, sum_sets)
-        for row, elements in enumerate(sum_sets):
-            if group == s.group and tuple(elements) == s.elements:
+    def corrupted(group, elements):
+        chi = character_dft(group, elements)
+        for row, row_elements in enumerate(elements):
+            if group == s.group and np.array_equal(row_elements, s.array):
                 chi[row].flat[0] += 0.5
         return chi
 
     monkeypatch.setattr(spectra, "_character_dft", corrupted)
+    return "DFT values at the real characters"
 
 
-def corrupt_fold_member(monkeypatch, target: TriangleSpec) -> None:
-    """Move one neighbour of the target's member of every stacked fold."""
+def corrupt_semiedge_row(monkeypatch, target: TriangleSpec) -> str:
+    """Add one semiedge to the target's row of every stacked semiedge count,
+    found by its sorted sum set; returns the failed check."""
+    semiedge_counts = spectra.semiedge_counts
+    _, s = group_and_sumset(target)
+
+    def corrupted(group, elements):
+        totals = semiedge_counts(group, elements)
+        for row, row_elements in enumerate(elements):
+            if group == s.group and np.array_equal(row_elements, s.array):
+                totals[row] += 1
+        return totals
+
+    monkeypatch.setattr(spectra, "semiedge_counts", corrupted)
+    return "trace identity violated"
+
+
+def corrupt_fold_member(monkeypatch, target: TriangleSpec) -> str:
+    """Move one neighbour of the target's member of every stacked fold;
+    returns the failed check."""
     fold_neighbours = fullerene._fold_neighbours
 
     def corrupted(specs):
@@ -370,14 +390,16 @@ def corrupt_fold_member(monkeypatch, target: TriangleSpec) -> None:
         return folds
 
     monkeypatch.setattr(fullerene, "_fold_neighbours", corrupted)
+    return "fold does not match"
 
 
-@pytest.mark.parametrize("corrupt", [corrupt_dft_row, corrupt_fold_member])
+@pytest.mark.parametrize("corrupt", [corrupt_dft_row, corrupt_semiedge_row, corrupt_fold_member])
 def test_a_failed_check_names_its_own_spec(corrupt, monkeypatch, capsys):
-    corrupt(monkeypatch, ATTRIBUTION_TARGET)
+    check = corrupt(monkeypatch, ATTRIBUTION_TARGET)
     with pytest.raises(InvariantViolation) as failure:
         verify_chunk(ATTRIBUTION_CHUNK)
     message = str(failure.value)
+    assert check in message
     assert str(ATTRIBUTION_TARGET.as_tuple()) in message
     assert not any(str(t.as_tuple()) in message for t in ATTRIBUTION_OTHERS)
     assert verify_chunk(ATTRIBUTION_OTHERS)
@@ -389,6 +411,7 @@ def test_a_failed_check_names_its_own_spec(corrupt, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert str(target.as_tuple()) in err
+    assert check in err
 
 
 # --- basis normalization -----------------------------------------------------

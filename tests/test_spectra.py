@@ -20,6 +20,7 @@ from cagespec.spectra import (
     multiset_close,
     numeric_spectrum,
     spectrum_is_paired,
+    sum_set_spectra,
     sum_set_spectrum,
 )
 
@@ -146,6 +147,39 @@ def test_character_spectrum_of_graph():
     assert len(full) == 40
     assert full == sorted(full, reverse=True)
     assert abs(sum(full) - 4.0) < 1e-9
+
+
+# Stacks over ranks 0-3 with odd and even moduli: one row per sum set, the
+# stack's rows all of one size.
+STACK_MODULI = [(), (5,), (6,), (3, 9), (2, 10), (4, 6), (3, 5, 7), (2, 3, 4), (2, 2, 6)]
+
+
+def test_stacked_spectra_equal_row_by_row_spectra():
+    rng = random.Random(RNG_SEED + 5)
+    for moduli in STACK_MODULI:
+        g = FiniteAbelianGroup(moduli)
+        for size in range(6):
+            k = rng.randint(1, 6)
+            rows = [[rng.choice(g.element_tuple) for _ in range(size)] for _ in range(k)]
+            stacked = sum_set_spectra(g, rows)
+            array = np.array(rows, dtype=np.int64).reshape(k, size, g.rank)
+            assert sum_set_spectra(g, array) == stacked
+            for row, part in zip(rows, stacked):
+                s = SumSet(g, tuple(row))
+                assert part == sum_set_spectrum(g, s)
+                signs = [sum(g.character_sign(a, x) for x in row) for a in g.involutive_elements()]
+                assert list(part.unmatched_raw) == sorted(signs, reverse=True)
+                assert part.semiedge_total == cayley_sum_graph(g, s).total_semiedges
+        assert sum_set_spectra(g, []) == []
+
+
+def test_stacked_spectra_reject_sum_sets_of_unequal_sizes():
+    g = FiniteAbelianGroup((2, 6))
+    for rows in ([[(0, 1)], [(1, 2), (0, 3)]], [[], [(1, 1)]], [[(0, 0)] * 3, [(1, 5)] * 5]):
+        with pytest.raises(ValueError, match="unequal sizes"):
+            sum_set_spectra(g, rows)
+    with pytest.raises(ValueError, match="unequal sizes"):
+        sum_set_spectra(FiniteAbelianGroup(()), [[()], [(), ()]])
 
 
 def test_partition_json_shape():
