@@ -205,8 +205,7 @@ def diamond_family(d: int, sublattice: IntMatrix, a_choice: str = "corner") -> C
 def unmatched_multiset(c: CrystalSpec) -> tuple[int, ...]:
     """Canonical unmatched multiset of the crystal's Cayley sum graph: the part
     of the spectrum left over once all (lambda, -lambda) pairs are removed."""
-    q = quotient_group(c.sublattice)
-    s = SumSet(q.group, tuple(q.project(v) for v in c.lifted_sum_set))
+    q, s, _ = crystal_cayley(c)
     return sum_set_spectrum(q.group, s).unmatched_canonical
 
 

@@ -273,19 +273,15 @@ def verify_isomorphism(folded: FoldedGraph, q: QuotientMap, s: SumSet) -> bool:
 
 
 def _fold_matches(
-    t: TriangleSpec, q: QuotientMap, s, specs: Sequence[TriangleSpec] | None = None
+    t: TriangleSpec, q: QuotientMap, elements: np.ndarray, specs: Sequence[TriangleSpec]
 ) -> np.ndarray:
-    """The fold check of verify_chunk, one bool per spec.
-
-    For the specs sharing t's lattice and s, the (k, 3, rank) stack of their
-    sorted sum sets: whether each fold matches its Cayley sum graph, from one
-    stacked fold kernel.  With specs None, t alone against its SumSet s
-    (fold_construction, then verify_isomorphism).  A module-level name taking
-    a spec first, so a tracer can wrap the fold check and count t's vertices.
+    """The fold check of verify_chunk, one bool per spec: for the specs
+    sharing t's lattice and elements, the (k, 3, rank) stack of their sorted
+    sum sets, whether each fold matches its Cayley sum graph, from one stacked
+    fold kernel.  A module-level name taking a spec first, so a tracer can
+    wrap the fold check and count t's vertices.
     """
-    if specs is None:
-        return np.array([verify_isomorphism(fold_construction(t), q, s)])
-    return _label_sums_match(q, _fold_neighbours(specs), s)
+    return _label_sums_match(q, _fold_neighbours(specs), elements)
 
 
 @dataclass(frozen=True)

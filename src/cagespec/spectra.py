@@ -8,9 +8,10 @@ knows nothing about the group structure.
 
 The character sums chi_a(S) over Z_n1 x ... x Z_nk are the multidimensional
 DFT of S's multiplicity array, so all paired magnitudes come from one DFT,
-shared by a whole stack of sum sets over one group; the real characters keep
-exact integer parity sums, and the two routes are compared at the involutive
-labels.
+shared by a whole stack of sum sets over one group and read at flat element
+indices from the group's own index map: a = -a marks the involutive labels,
+whose exact integer parity sums the DFT values must match, and a < -a the
+conjugate-pair representatives.
 """
 
 from __future__ import annotations
@@ -88,25 +89,21 @@ class SpectrumPartition:
 
 
 @lru_cache(maxsize=1024)
-def _moduli_tables(
-    moduli: tuple[int, ...],
-) -> tuple[np.ndarray, tuple[tuple[slice, ...], ...], tuple[slice, ...]]:
-    """What the spectra over one moduli tuple share, computed once per tuple:
-    the read-only (rank, |G[2]|) 0/1 activity matrix, entry (j, c) set iff
-    coordinate j of the c-th involutive label (lexicographic order) is
-    nonzero; and two index tuples into a moduli-shaped array: per axis j, the
-    conjugate-pair representatives a < -a whose first non-involutive
-    coordinate is a_j, which holds iff a_j lies in [1, (n_j + 1) // 2); and
-    the involutive labels, every a_j 0 or n_j / 2, in lexicographic order."""
-    labels = FiniteAbelianGroup(moduli).involutive_elements()
-    activity = np.array(labels, dtype=np.int64).reshape(len(labels), len(moduli)).T != 0
-    activity = activity.astype(np.int64)
-    activity.flags.writeable = False
-    invol, reps = (), []
-    for n in moduli:
-        reps.append(invol + (slice(1, (n + 1) // 2),))
-        invol += (slice(0, None, n // 2 if n % 2 == 0 else n),)
-    return activity, tuple(reps), invol
+def _moduli_tables(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only flat index tables of one moduli tuple's group, computed once
+    per tuple: the (rank, |G[2]|) 0/1 activity matrix, entry (j, c) set iff
+    coordinate j of the c-th involutive label is nonzero; the ascending (so
+    lexicographic) indices of the involutive labels a = -a; and those of the
+    conjugate-pair representatives a < -a, the lexicographic minimum of each pair."""
+    group = FiniteAbelianGroup(moduli)
+    index = np.arange(group.order)
+    negated = group.indices(-group.labels)
+    invol = np.flatnonzero(negated == index)
+    reps = np.flatnonzero(index < negated)
+    activity = (group.labels[:, invol] != 0).astype(np.int64)
+    for table in (activity, invol, reps):
+        table.flags.writeable = False
+    return activity, invol, reps
 
 
 def _element_stack(sum_sets, rank: int) -> np.ndarray:
@@ -182,12 +179,12 @@ def sum_set_spectra(
     """
     elements = _element_stack(sum_sets, group.rank)
     k = len(elements)
-    activity, reps, invol = _moduli_tables(group.moduli)
+    activity, invol, reps = _moduli_tables(group.moduli)
     raw = _parity_sums(elements, activity)
     paired = [()] * k
-    if group.moduli and k:
-        chi = _character_dft(group, elements)
-        real = chi[(slice(None), *invol)].reshape(k, -1)
+    if k:
+        chi = _character_dft(group, elements).reshape(k, group.order)
+        real = chi[:, invol]
         err = np.abs(real - raw)
         if err.max() > MATCH_TOL:
             i = int(err.max(axis=1).argmax())
@@ -195,9 +192,7 @@ def sum_set_spectra(
                 f"DFT values at the real characters {real[i].real.tolist()} != exact "
                 f"parity sums {raw[i].tolist()} for {_row_name(group, names, i)}"
             )
-        pairs = [chi[(slice(None), *r)].reshape(k, -1) for r in reps]
-        pairs = np.abs(pairs[0] if len(pairs) == 1 else np.concatenate(pairs, axis=1))
-        paired = np.sort(pairs, axis=1)[:, ::-1].tolist()
+        paired = np.sort(np.abs(chi[:, reps]), axis=1)[:, ::-1].tolist()
 
     if semiedge_totals is None:
         semiedge_totals = semiedge_counts(group, elements).tolist()
@@ -301,7 +296,6 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
     both parts belong to the doubly degenerate eigenvalue 0.
     """
     group = graph.group
-    moduli = group.moduli
     labels = group.labels
     adjacency = graph.adjacency_matrix().astype(float)
     pairs: list[EigenPair] = []
@@ -312,20 +306,16 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
         pairs.append(EigenPair(value=value, vector=vec, residual=residual))
 
     elements = graph.sum_set.array[None]
-    activity, rep_slices, _ = _moduli_tables(moduli)
+    activity, _, reps = _moduli_tables(group.moduli)
     # row c: chi_a at every element for the c-th involutive label a
     signs = 1.0 - 2.0 * ((activity.T @ labels) & 1)
     for value, vec in zip(_parity_sums(elements, activity)[0].tolist(), signs):
         finish(float(value), vec)
 
-    if not moduli:
-        return pairs
-    index = np.arange(group.order).reshape(moduli)
-    reps = np.sort(np.concatenate([index[r] for r in rep_slices], axis=None))
     chi_s = np.conj(_character_dft(group, elements).ravel()[reps])
     den = group._lcm
     # exact integer phases of every pair representative at every element
-    phases = ((labels[:, reps].T * (den // np.array(moduli))) @ labels) % den
+    phases = ((labels[:, reps].T * (den // np.array(group.moduli))) @ labels) % den
     for z, chi in zip(chi_s.tolist(), np.exp(2j * np.pi * phases / den)):
         value = abs(z)
         if value < 1e-12:

@@ -429,6 +429,16 @@ def test_census_dedup_bytes_to_index_sixty(capsys):
     assert "12056 specs, 1033 rows" in err
 
 
+def test_census_json_bytes_to_index_thirty(capsys):
+    # JSON rows print every paired magnitude, which the CSV pins do not
+    code, out, err = run_cli(["census", "--max-index", "30", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a352d5ecc98af8f46723efae5cdde53f73e2b63e1a662f62863bb5a332e0607c"
+    )
+    assert "3048 specs, 3048 rows" in err
+
+
 # --- the --dedup class ---------------------------------------------------------
 #
 # The class was first keyed by the full spectrum rounded with round(v, 9);

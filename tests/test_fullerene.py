@@ -276,7 +276,7 @@ def test_fold_is_isomorphic_across_sweep():
         folded = fold_construction(t)
         q, s = group_and_sumset(t)
         assert verify_isomorphism(folded, q, s)
-        assert _fold_matches(t, q, s)
+        assert _fold_matches(t, q, s.array[None], [t])[0]
 
 
 def test_fold_rejects_wrong_sum_set():
@@ -296,7 +296,7 @@ def test_fold_rejects_wrong_sum_set():
         if wrong.elements == s.elements:
             continue
         assert not verify_isomorphism(folded, q, wrong)
-        assert not _fold_matches(t, q, wrong)
+        assert not _fold_matches(t, q, wrong.array[None], [t])[0]
         checked += 1
     assert checked >= 20
 

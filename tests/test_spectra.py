@@ -14,6 +14,7 @@ from cagespec.spectra import (
     MATCH_TOL,
     ConvergenceError,
     SpectrumPartition,
+    _moduli_tables,
     canonical_unmatched,
     character_spectrum,
     eigenvectors,
@@ -147,6 +148,11 @@ def test_character_spectrum_of_graph():
     assert len(full) == 40
     assert full == sorted(full, reverse=True)
     assert abs(sum(full) - 4.0) < 1e-9
+    # the trivial group runs the same DFT check: its one character value is |S|
+    trivial = FiniteAbelianGroup(())
+    for size in range(3):
+        graph = cayley_sum_graph(trivial, SumSet(trivial, ((),) * size))
+        assert character_spectrum(graph) == SpectrumPartition(size, (size,), (size,), ())
 
 
 # Stacks over ranks 0-3 with odd and even moduli: one row per sum set, the
@@ -171,6 +177,25 @@ def test_stacked_spectra_equal_row_by_row_spectra():
                 assert list(part.unmatched_raw) == sorted(signs, reverse=True)
                 assert part.semiedge_total == cayley_sum_graph(g, s).total_semiedges
         assert sum_set_spectra(g, []) == []
+
+
+def test_moduli_tables_match_the_group_enumerations():
+    # index arithmetic on one side, tuple enumeration on the other; the 1s
+    # among the drawn moduli are dropped by the group
+    rng = random.Random(RNG_SEED + 6)
+    drawn = [tuple(rng.randint(1, 8) for _ in range(rng.randint(0, 3))) for _ in range(60)]
+    for moduli in [(), (1,), (2,), (7,), (1, 4, 1), (2, 2, 2), (3, 6, 5), *drawn]:
+        g = FiniteAbelianGroup(moduli)
+        activity, invol, reps = _moduli_tables(g.moduli)
+        involutive = g.involutive_elements()
+        assert invol.tolist() == [g.index_of(a) for a in involutive]
+        assert reps.tolist() == sorted(g.index_of(a) for a in g.conjugate_pair_reps())
+        assert activity.shape == (g.rank, len(involutive))
+        for j, row in enumerate(activity.tolist()):
+            assert row == [int(a[j] != 0) for a in involutive]
+        for table in (activity, invol, reps):
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
 
 
 def test_stacked_spectra_reject_sum_sets_of_unequal_sizes():
@@ -345,10 +370,14 @@ def test_numeric_agrees_with_characters_randomly():
 
 def test_eigenvectors_form_an_orthonormal_eigenbasis():
     rng = random.Random(RNG_SEED + 3)
+    # the trivial group with S = {}, {()} and {(), ()}, then random groups
+    trivial = FiniteAbelianGroup(())
+    graphs = [cayley_sum_graph(trivial, SumSet(trivial, ((),) * size)) for size in range(3)]
     for _ in range(15):
         g = random_group(rng, max_order=40)
-        s = random_sum_set(rng, g)
-        graph = cayley_sum_graph(g, s)
+        graphs.append(cayley_sum_graph(g, random_sum_set(rng, g)))
+    for graph in graphs:
+        g = graph.group
         pairs = eigenvectors(graph)
         assert len(pairs) == g.order
         adjacency = graph.adjacency_matrix().astype(float)
