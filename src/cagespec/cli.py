@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs.add_argument(
         "--jobs",
         type=_positive_int,
-        default=None,  # main reads CAGESPEC_JOBS, so an error can name it
+        default=None,  # a sweep reads CAGESPEC_JOBS, so an error can name it
         help="worker processes for the sweep (default: $CAGESPEC_JOBS or 1)",
     )
 
@@ -269,23 +269,6 @@ def _emit_json(payload: dict, fmt: str) -> None:
 
 def _compact(values) -> str:
     return json.dumps(values, separators=(",", ":"))
-
-
-def _report_payload(report: FullereneReport) -> dict:
-    return {
-        "spec": list(report.spec.as_tuple()),
-        "moduli": list(report.moduli),
-        "sum_set": [list(x) for x in report.sum_set],
-        "n_vertices": report.n_vertices,
-        "semiedges": report.semiedges,
-        "f3": report.f3,
-        "f6": report.f6,
-        "M_raw": list(report.unmatched_raw),
-        "M_canonical": list(report.unmatched_canonical),
-        "paired": list(report.paired),
-        "case": report.case,
-        "spectral_radius": report.spectral_radius,
-    }
 
 
 def _sweep(chunk_fn: Callable, max_index: int, jobs: int) -> Iterator:
@@ -428,6 +411,7 @@ def _census_human_line(report: FullereneReport) -> str:
 
 
 def _cmd_census(args) -> int:
+    jobs = args.jobs or _jobs_from_env()
     writer = csv.writer(sys.stdout) if args.format == "csv" else None
     if writer is not None:
         writer.writerow(_CENSUS_HEADER)
@@ -435,7 +419,7 @@ def _cmd_census(args) -> int:
     seen: set = set()
     total = 0
     emitted = 0
-    for report in chain.from_iterable(_sweep(classify_chunk, args.max_index, args.jobs)):
+    for report in chain.from_iterable(_sweep(classify_chunk, args.max_index, jobs)):
         total += 1
         cases[report.case] += 1
         if args.dedup:
@@ -447,7 +431,7 @@ def _cmd_census(args) -> int:
         if writer is not None:
             writer.writerow(_census_csv_cells(report))
         elif args.format == "json":
-            sys.stdout.write(json.dumps(_report_payload(report)) + "\n")
+            sys.stdout.write(json.dumps(report.to_json()) + "\n")
         else:
             sys.stdout.write(_census_human_line(report) + "\n")
     case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
@@ -462,9 +446,10 @@ def _cmd_verify(args) -> int:
     if args.spec is not None:
         t = TriangleSpec(*args.spec)
         _check_order(t.index)
-        _emit_json(_report_payload(verify_spec(t)), args.format)
+        _emit_json(verify_spec(t).to_json(), args.format)
         return 0
-    cases = sum(_sweep(_verify_chunk, args.max_index, args.jobs), Counter())
+    jobs = args.jobs or _jobs_from_env()
+    cases = sum(_sweep(_verify_chunk, args.max_index, jobs), Counter())
     total = sum(cases.values())
     if args.format == "human":
         case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
@@ -527,8 +512,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_glue_signed_lists(sys.argv[1:] if argv is None else argv))
     try:
-        if getattr(args, "jobs", 1) is None:  # a sweep without --jobs
-            args.jobs = _jobs_from_env()
         return args.func(args)
     except (DegenerateLatticeError, InvariantViolation, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

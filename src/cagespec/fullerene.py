@@ -285,22 +285,40 @@ def _fold_matches(
 
 
 @dataclass(frozen=True)
-class FullereneReport:
+class FullereneReport(SpectrumPartition):
+    """A spec's spectrum partition plus its group, sum set and face counts."""
+
     spec: TriangleSpec
     moduli: tuple[int, ...]
     sum_set: tuple[Element, ...]
     n_vertices: int
-    semiedges: int
     f3: int
     f6: int
-    unmatched_raw: tuple[int, ...]
-    unmatched_canonical: tuple[int, ...]
-    paired: tuple[float, ...]
     case: str
     spectral_radius: float
 
-    # reads only unmatched_raw and paired, which a report shares with a partition
     full_spectrum = SpectrumPartition.full
+
+    @property
+    def semiedges(self) -> int:
+        """The adjacency trace, which _report checks against 4 - f3."""
+        return self.semiedge_total
+
+    def to_json(self) -> dict:
+        return {
+            "spec": list(self.spec.as_tuple()),
+            "moduli": list(self.moduli),
+            "sum_set": [list(x) for x in self.sum_set],
+            "n_vertices": self.n_vertices,
+            "semiedges": self.semiedges,
+            "f3": self.f3,
+            "f6": self.f6,
+            "M_raw": list(self.unmatched_raw),
+            "M_canonical": list(self.unmatched_canonical),
+            "paired": list(self.paired),
+            "case": self.case,
+            "spectral_radius": self.spectral_radius,
+        }
 
 
 def _report(
@@ -332,16 +350,13 @@ def _report(
     # raw and paired are descending, so their ends hold the largest magnitudes
     radius = max(raw[0], -raw[-1], part.paired[0] if part.paired else 0.0)
     return FullereneReport(
+        **vars(part),
         spec=t,
         moduli=group.moduli,
         sum_set=tuple(elements),
         n_vertices=n,
-        semiedges=census.semiedges,
         f3=census.f3,
         f6=census.f6,
-        unmatched_raw=raw,
-        unmatched_canonical=part.unmatched_canonical,
-        paired=part.paired,
         case=case,
         spectral_radius=float(radius),
     )

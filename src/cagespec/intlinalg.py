@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -39,7 +40,12 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> IntMatrix:
-        return cls(tuple(tuple(map(int, row)) for row in rows))
+        """Rows of ints, bools or numpy integers, stored as Python ints; any
+        other entry (a float, a string) raises ValueError."""
+        try:
+            return cls(tuple(tuple(map(operator.index, row)) for row in rows))
+        except TypeError as exc:
+            raise ValueError(f"expected rows of integers: {exc}") from None
 
     @classmethod
     def identity(cls, d: int) -> IntMatrix:

@@ -504,6 +504,15 @@ def test_verify_single_spec(capsys):
     assert payload["M_canonical"] == [3, 1]
     assert payload["moduli"] == [2, 20]
     assert payload["semiedges"] == 4
+    # the whole report, every key and float, in both formats
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d56f08c9c2fc2ca9978c25a11af6e73c99ac5ad6ba14d03b6d1fd5d4fe859e1a"
+    )
+    code, out, _ = run_cli(["verify", "--spec", "6,2,-2,6,1,0", "--format", "human"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a0a4b83c12e931a5b35cdda904ef9fa3918f34123b2f427273aa22562682513e"
+    )
 
 
 def test_verify_sweep_summary(capsys):
@@ -701,6 +710,14 @@ def test_bad_jobs_env_fails_only_the_sweeps(value, capsys, monkeypatch):
     code, out, _ = run_cli(["snf", GOLDEN_LATTICE], capsys)
     assert code == 0
     assert json.loads(out)["diagonal"] == [2, 20]
+    # one spec is no sweep, so it never reads the variable
+    code, out, _ = run_cli(["verify", "--spec", "6,2,-2,6,1,0"], capsys)
+    assert code == 0
+    assert json.loads(out)["case"] == "d"
+    code, out, err = run_cli(["verify", "--max-index", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "CAGESPEC_JOBS" in err
 
 
 @pytest.mark.parametrize(
@@ -748,6 +765,16 @@ def test_installed_entry_points():
     )
     assert result.returncode == 0, result.stderr
     assert "snf" in result.stdout
+
+
+def test_star_import_in_fresh_interpreter():
+    # any import-time warning is an error, as in the test run itself
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "from cagespec import *; import cagespec"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.skipif(

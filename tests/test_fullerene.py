@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 from collections import Counter
 
@@ -30,7 +32,7 @@ from cagespec.fullerene import (
     verify_isomorphism,
     verify_spec,
 )
-from cagespec.spectra import multiset_close, spectrum_is_paired
+from cagespec.spectra import SpectrumPartition, multiset_close, spectrum_is_paired
 
 RNG_SEED = 0xF01D
 TRANSLATIONS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -324,6 +326,27 @@ def test_chunks_report_exactly_what_single_specs_report():
         verified = [report for chunk in chunks for report in verify_chunk(chunk)]
         assert Counter(report.case for report in verified) == cases
         assert verified == single
+
+
+REPORT_KEYS = [
+    "spec", "moduli", "sum_set", "n_vertices", "semiedges", "f3", "f6",
+    "M_raw", "M_canonical", "paired", "case", "spectral_radius",
+]
+
+
+def test_a_report_is_its_spectrum_partition():
+    specs = list(enumerate_specs(12))
+    for report in [*classify_chunk(specs), *verify_chunk(specs)]:
+        assert isinstance(report, SpectrumPartition)
+        assert report.semiedges == report.semiedge_total == 4 - report.f3
+        assert report.full_spectrum() == report.full()
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report
+        assert copy.semiedges == report.semiedges
+        assert list(report.to_json()) == REPORT_KEYS
+        flat = dataclasses.replace(report, paired=(0.0,) * len(report.paired))
+        assert flat.paired == (0.0,) * len(report.paired)
+        assert (flat.spec, flat.semiedges) == (report.spec, report.semiedges)
 
 
 def test_chunk_of_one_is_the_single_spec_call():

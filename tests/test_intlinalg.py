@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -61,6 +62,19 @@ def test_from_rows_rejects_non_square():
         IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         IntMatrix.from_rows([])
+
+
+@pytest.mark.parametrize("entry", [2.5, 2.0, "7", np.float64(2)])
+def test_from_rows_rejects_non_integer_entries(entry):
+    with pytest.raises(ValueError, match="cannot be interpreted as an integer"):
+        IntMatrix.from_rows([[entry, 0], [0, 1]])
+
+
+def test_from_rows_stores_python_ints():
+    m = IntMatrix.from_rows(np.array([[2, 0], [0, 3]]))
+    assert m.rows == ((2, 0), (0, 3))
+    assert all(type(x) is int for row in m.rows for x in row)
+    assert IntMatrix.from_rows([[True, False], [0, 1]]).rows == ((1, 0), (0, 1))
 
 
 def test_identity_and_matmul():
