@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +43,11 @@ class FiniteAbelianGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(int(n) for n in self.moduli if int(n) != 1)
+        try:
+            moduli = tuple(map(operator.index, self.moduli))
+        except TypeError as exc:
+            raise ValueError(f"moduli must be integers: {exc}") from None
+        cleaned = tuple(n for n in moduli if n != 1)
         for n in cleaned:
             if n < 1:
                 raise ValueError(f"modulus must be a positive integer, got {n}")
@@ -173,15 +178,17 @@ class QuotientMap:
     group: FiniteAbelianGroup
 
     def __post_init__(self) -> None:
-        # transform rows paired with their moduli, skipping dropped (modulus 1)
-        # coordinates; set once here, as a cached_property takes a lock per object
-        active = tuple((row, n) for row, n in zip(self.transform.rows, self.diagonal) if n != 1)
+        # kept (modulus != 1) transform rows, each reduced mod its modulus n:
+        # (row . v) mod n reads only row mod n, and reduced rows fit in int64;
+        # set once here, as a cached_property takes a lock per object
+        rows = zip(self.transform.rows, self.diagonal)
+        active = tuple((tuple(x % n for x in row), n) for row, n in rows if n != 1)
         object.__setattr__(self, "_active_rows", active)
 
     @property
     def matrix(self) -> np.ndarray:
-        """The kept transform rows as a (rank, dim) int64 array: project(v) is
-        matrix @ v reduced mod the group's moduli."""
+        """The kept transform rows, each reduced mod its modulus, as a (rank,
+        dim) int64 array: project(v) is matrix @ v reduced mod the group's moduli."""
         rows = [row for row, _ in self._active_rows]
         return np.array(rows, dtype=np.int64).reshape(len(rows), self.dim)
 

@@ -201,7 +201,8 @@ def cayley_graph(group: FiniteAbelianGroup, connection: SumSet) -> np.ndarray:
     """Adjacency of the ordinary Cayley graph: A[u][v] = multiplicity of u - v.
 
     The connection multiset must be symmetric (closed under negation with
-    multiplicity); the diagonal holds the multiplicity of 0.
+    multiplicity); the diagonal holds the multiplicity of 0.  A[u][v] is
+    entry (u, -v) of the sum graph CayS(group, connection), diagonal included.
     """
     if connection.group != group:
         raise ValueError("connection multiset belongs to a different group")
@@ -209,11 +210,7 @@ def cayley_graph(group: FiniteAbelianGroup, connection: SumSet) -> np.ndarray:
     negated = Counter({group.neg(g): m for g, m in counts.items()})
     if negated != counts:
         raise ValueError("connection multiset is not symmetric under negation")
-    a = np.zeros((group.order, group.order), dtype=np.int64)
-    rows = np.arange(group.order)
-    for g, m in counts.items():
-        a[rows, group.indices(group.labels - np.array(g, dtype=np.int64)[:, None])] = m
-    return a
+    return cayley_sum_graph(group, connection).adjacency_matrix()[:, group.indices(-group.labels)]
 
 
 def sum_set_difference(s: SumSet) -> SumSet:

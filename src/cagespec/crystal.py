@@ -12,6 +12,7 @@ D_d.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -56,7 +57,10 @@ class CrystalSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= MAX_DIMENSION:
             raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {self.dim}")
-        lifted = tuple(tuple(int(c) for c in v) for v in self.lifted_sum_set)
+        try:
+            lifted = tuple(tuple(map(operator.index, v)) for v in self.lifted_sum_set)
+        except TypeError as exc:
+            raise ValueError(f"lifted sum set entries must be integers: {exc}") from None
         if not lifted:
             raise ValueError("lifted sum set must be nonempty")
         for v in lifted:

@@ -16,7 +16,6 @@ conjugate-pair representatives.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -249,27 +248,17 @@ def canonical_unmatched(values: Iterable[int]) -> tuple[int, ...]:
 def spectrum_is_paired(full: Sequence[float], unmatched: Iterable[float], tol: float = MATCH_TOL) -> bool:
     """True iff (full - unmatched) is negation-symmetric.
 
-    Each unmatched value is removed once (nearest match within tol); the
-    remainder is then paired greedily, largest against most negative.
+    Each unmatched value is removed once (nearest match within tol, the
+    first on a tie); the remainder, of even length, must then be close to
+    its own negation as a multiset.
     """
     remaining = sorted(float(v) for v in full)
-    for value in unmatched:
-        target = float(value)
-        best = None
-        for idx, candidate in enumerate(remaining):
-            err = abs(candidate - target)
-            if best is None or err < best[0]:
-                best = (err, idx)
-        if best is None or best[0] > tol:
+    for target in map(float, unmatched):
+        idx = min(range(len(remaining)), key=lambda i: abs(remaining[i] - target), default=None)
+        if idx is None or abs(remaining[idx] - target) > tol:
             return False
-        remaining.pop(best[1])
-    lo, hi = 0, len(remaining) - 1
-    while lo < hi:
-        if abs(remaining[lo] + remaining[hi]) > tol:
-            return False
-        lo += 1
-        hi -= 1
-    return lo > hi
+        remaining.pop(idx)
+    return len(remaining) % 2 == 0 and multiset_close(remaining, [-v for v in remaining], tol)
 
 
 def multiset_close(xs: Sequence[float], ys: Sequence[float], tol: float = MATCH_TOL) -> bool:
@@ -292,42 +281,28 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
     Real characters give +-1 eigenvectors for the exact integer eigenvalues.
     For a conjugate pair with value lambda = |chi(S)| > 0, a unimodular alpha
     with alpha^2 chi(S) = |chi(S)| is chosen; Re(alpha chi) and Im(alpha chi)
-    are eigenvectors for +lambda and -lambda.  When chi(S) = 0, alpha = 1 and
-    both parts belong to the doubly degenerate eigenvalue 0.
+    are eigenvectors for +lambda and -lambda; alpha = 1 when |chi(S)| < 1e-12.
+    The values equal character_spectrum's exactly: both take np.abs of one DFT.
     """
     group = graph.group
     labels = group.labels
-    adjacency = graph.adjacency_matrix().astype(float)
-    pairs: list[EigenPair] = []
-
-    def finish(value: float, vec: np.ndarray) -> None:
-        vec = vec / np.linalg.norm(vec)
-        residual = float(np.max(np.abs(adjacency @ vec - value * vec)))
-        pairs.append(EigenPair(value=value, vector=vec, residual=residual))
-
     elements = graph.sum_set.array[None]
     activity, _, reps = _moduli_tables(group.moduli)
-    # row c: chi_a at every element for the c-th involutive label a
-    signs = 1.0 - 2.0 * ((activity.T @ labels) & 1)
-    for value, vec in zip(_parity_sums(elements, activity)[0].tolist(), signs):
-        finish(float(value), vec)
-
     chi_s = np.conj(_character_dft(group, elements).ravel()[reps])
+    mag = np.abs(chi_s)
+    alpha = np.where(mag < 1e-12, 1.0, np.exp(-0.5j * np.angle(chi_s)))
     den = group._lcm
     # exact integer phases of every pair representative at every element
     phases = ((labels[:, reps].T * (den // np.array(group.moduli))) @ labels) % den
-    for z, chi in zip(chi_s.tolist(), np.exp(2j * np.pi * phases / den)):
-        value = abs(z)
-        if value < 1e-12:
-            alpha = 1.0 + 0j
-            value = 0.0
-        else:
-            alpha = cmath.exp(-1j * cmath.phase(z) / 2)
-        rotated = alpha * chi
-        finish(value, rotated.real.copy())
-        finish(-value, rotated.imag.copy())
-
-    return pairs
+    rotated = alpha[:, None] * np.exp(2j * np.pi * phases / den)
+    # rows: chi_a at every element for each involutive label a, then
+    # Re(alpha chi) and Im(alpha chi) of each pair, for +|chi(S)| and -|chi(S)|
+    values = np.concatenate((_parity_sums(elements, activity)[0], np.outer(mag, (1, -1)).ravel()))
+    pair_rows = np.stack((rotated.real, rotated.imag), axis=1).reshape(-1, group.order)
+    vectors = np.concatenate((1.0 - 2.0 * ((activity.T @ labels) & 1), pair_rows))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    residuals = np.abs(vectors @ graph.adjacency_matrix() - values[:, None] * vectors).max(axis=1)
+    return [EigenPair(*pair) for pair in zip(values.tolist(), vectors, residuals.tolist())]
 
 
 # points tested per interval and pass: 7 and 15 run equally fast at orders

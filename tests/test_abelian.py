@@ -33,6 +33,12 @@ def test_moduli_validation_and_reduction():
         FiniteAbelianGroup((0, 3))
     with pytest.raises(ValueError):
         FiniteAbelianGroup((-2,))
+    # non-integer moduli raise instead of being truncated by int()
+    for bad in (2.5, 2.0, "4", np.float64(3)):
+        with pytest.raises(ValueError):
+            FiniteAbelianGroup((bad, 3))
+    moduli = FiniteAbelianGroup((np.int64(4),)).moduli
+    assert moduli == (4,) and type(moduli[0]) is int
 
 
 def test_trivial_group():
@@ -232,3 +238,5 @@ def test_manual_quotient_map_matches_snf_one():
     assert q.project((-2, 6)) == (0, 0)
     assert q.project((1, -1)) == (1, 6)
     assert q.project((0, -1)) == (1, 7)
+    # the kept rows are reduced mod their moduli
+    assert q.matrix.tolist() == [[0, 1], [19, 13]]

@@ -169,10 +169,18 @@ def test_difference_set_is_symmetric_with_square_size():
 
 def test_cayley_graph_matches_all_pairs_oracle():
     rng = random.Random(RNG_SEED + 8)
+    cases = []
     for _ in range(30):
         g = random_group(rng)
-        connection = sum_set_difference(random_sum_set(rng, g, max_size=3))
-        assert np.array_equal(cayley_graph(g, connection), brute_cayley(g, connection))
+        cases.append((g, sum_set_difference(random_sum_set(rng, g, max_size=3))))
+    # the trivial group, and a connection with multiplicity 2
+    trivial, z6 = FiniteAbelianGroup(()), FiniteAbelianGroup((6,))
+    cases.append((trivial, SumSet(trivial, ((),))))
+    cases.append((z6, SumSet(z6, ((1,), (1,), (5,), (5,), (3,)))))
+    for g, connection in cases:
+        a = cayley_graph(g, connection)
+        assert a.dtype == np.int64
+        assert np.array_equal(a, brute_cayley(g, connection))
 
 
 @pytest.mark.parametrize(

@@ -244,9 +244,15 @@ def _crystal_call(family: str, d: int | None, a_choice: str | None):
     )
 
 
-# group orders stay at most 60: spec entries in [-5, 5] give |det| <= 50,
-# graph JSON moduli are filtered on their product, and square crystal
-# sublattices are upper-triangular with a diagonal product of at most 60
+def _sheared_spec(p, q, r, s, p1, p2, k):
+    """The spec's lattice on the sheared basis (p, q), (r + k p, s + k q): the
+    same lattice and index, with entries beyond int64 when 10^19 <= |k|."""
+    return [p, q, r + k * p, s + k * q, p1, p2]
+
+
+# group orders stay at most 60: spec entries in [-5, 5] give |det| <= 50, also
+# on a sheared basis, graph JSON moduli are filtered on their product, and
+# square crystal sublattices are upper-triangular with a diagonal product of at most 60
 _cli_calls = st.one_of(
     st.one_of(
         st.integers(1, 3).flatmap(_square),
@@ -254,7 +260,13 @@ _cli_calls = st.one_of(
     ).map(lambda rows: (["snf", json.dumps(rows)], None)),
     st.tuples(
         st.sampled_from(["construct", "fold", "spectrum", "verify"]),
-        st.one_of(st.lists(_small, min_size=6, max_size=6), st.lists(_small, max_size=8)),
+        st.one_of(
+            st.lists(_small, min_size=6, max_size=6),
+            st.lists(_small, max_size=8),
+            st.tuples(*[_small] * 6, st.sampled_from([-1, 1]), st.integers(10**19, 10**20)).map(
+                lambda t: _sheared_spec(*t[:6], t[6] * t[7])
+            ),
+        ),
     ).map(lambda c: ([c[0], "--spec", ",".join(map(str, c[1]))], None)),
     st.lists(st.integers(-1, 7), max_size=3)
     .filter(lambda m: math.prod(m) <= 60)
@@ -662,6 +674,28 @@ def test_top_level_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(["spectrum", "--spec", "1,2,3"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "200000000000000000000,3,7,0,1,1",
+        "1,200000000000000000000,1,200000000000000000002,0,0",
+        "6,200000000000000000000,0,6,0,0",
+    ],
+)
+def test_small_index_spec_with_entries_beyond_int64(spec, capsys):
+    # the lattice has a small index, but its entries overflow int64
+    code, out, _ = run_cli(["fold", "--spec", spec], capsys)
+    assert code == 0
+    assert json.loads(out)["matches_cayley"] is True
+    code, out, _ = run_cli(["verify", "--spec", spec], capsys)
+    assert code == 0
+    report = json.loads(out)
+    code, out, _ = run_cli(["construct", "--spec", spec], capsys)
+    assert code == 0
+    graph = json.loads(out)
+    assert (report["moduli"], report["sum_set"]) == (graph["moduli"], graph["sum_set"])
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from cagespec.abelian import DegenerateLatticeError
@@ -91,6 +92,12 @@ def test_crystal_spec_validation():
         CrystalSpec(1, ((0,),), IntMatrix.identity(2))
     with pytest.raises(DegenerateLatticeError):
         CrystalSpec(2, ((0, 0),), IntMatrix.from_rows([[1, 1], [1, 1]]))
+    # non-integer lifted entries raise instead of being truncated by int()
+    for bad in (0.5, 2.0, "4", np.float64(3)):
+        with pytest.raises(ValueError):
+            CrystalSpec(1, ((bad,),), IntMatrix.from_rows([[2]]))
+    spec = CrystalSpec(1, ((np.int64(4),),), IntMatrix.from_rows([[2]]))
+    assert spec.lifted_sum_set == ((4,),) and type(spec.lifted_sum_set[0][0]) is int
 
 
 # --- path family -------------------------------------------------------------

@@ -97,6 +97,11 @@ def test_spectrum_is_paired_accepts_and_rejects():
     assert spectrum_is_paired([2.0, -2.0], (2.0, -2.0))
     assert not spectrum_is_paired([1.0, -1.0], (3.0,))
     assert spectrum_is_paired([], ())
+    # an odd remainder is never paired, not even a lone 0
+    assert not spectrum_is_paired([0.0], ())
+    assert not spectrum_is_paired([3.0, 0.0], (3.0,))
+    # a tie removes the first nearest value (-1.0), which leaves [1.0, 1.0]
+    assert not spectrum_is_paired([1.0, -1.0, 1.0], (0.0,))
 
 
 def test_multiset_close():
@@ -370,9 +375,13 @@ def test_numeric_agrees_with_characters_randomly():
 
 def test_eigenvectors_form_an_orthonormal_eigenbasis():
     rng = random.Random(RNG_SEED + 3)
-    # the trivial group with S = {}, {()} and {(), ()}, then random groups
+    # the trivial group with S = {}, {()} and {(), ()}, the Z_400 and
+    # Z_2 x Z_200 folds, then random groups
     trivial = FiniteAbelianGroup(())
     graphs = [cayley_sum_graph(trivial, SumSet(trivial, ((),) * size)) for size in range(3)]
+    for spec in (TriangleSpec(400, 0, 0, 1, 0, 0), TriangleSpec(2, 0, 0, 200, 0, 0)):
+        q, s = group_and_sumset(spec)
+        graphs.append(cayley_sum_graph(q.group, s))
     for _ in range(15):
         g = random_group(rng, max_order=40)
         graphs.append(cayley_sum_graph(g, random_sum_set(rng, g)))
@@ -396,12 +405,17 @@ def test_eigenvectors_form_an_orthonormal_eigenbasis():
 
 def test_eigenvector_values_match_character_spectrum():
     rng = random.Random(RNG_SEED + 4)
+    # Z_12 with S = {0, 2}: chi_3(S) = 0 reads 1.1e-16 from the DFT, and
+    # eigenvectors keeps that value too
+    z12 = FiniteAbelianGroup((12,))
+    graphs = [cayley_sum_graph(z12, SumSet(z12, ((0,), (2,))))]
     for _ in range(10):
         g = random_group(rng, max_order=40)
-        s = random_sum_set(rng, g)
-        graph = cayley_sum_graph(g, s)
+        graphs.append(cayley_sum_graph(g, random_sum_set(rng, g)))
+    for graph in graphs:
         values = [p.value for p in eigenvectors(graph)]
-        assert multiset_close(values, character_spectrum(graph).full(), 1e-9)
+        # both routes take np.abs of the same DFT, so the values agree exactly
+        assert sorted(values, reverse=True) == character_spectrum(graph).full()
 
 
 def test_tolerance_constants():
