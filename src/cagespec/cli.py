@@ -73,8 +73,9 @@ _CHUNK = 256
 
 # Largest group order `spectrum` accepts.  Its numeric check finds every
 # eigenvalue of the dense n x n adjacency matrix by Householder + Sturm
-# multisection: 0.04 s at order 200, 0.10-0.13 s at 400 and 0.22 s at 512
-# (Z_n and Z_2 x Z_n/2 folds, one core of a 2-vCPU VM, Python 3.11, numpy 2.4).
+# multisection on the split tridiagonal: 0.005-0.007 s at order 120,
+# 0.017-0.018 s at 200, 0.07 s at 400 and 0.14-0.15 s at 512 (Z_n and
+# Z_2 x Z_n/2 folds, one core of a 2-vCPU VM, Python 3.11, numpy 2.4).
 SPECTRUM_MAX_ORDER = 400
 
 # Largest group order every other subcommand accepts.  At this order `fold`

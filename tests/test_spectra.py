@@ -14,6 +14,7 @@ from cagespec.spectra import (
     MATCH_TOL,
     ConvergenceError,
     SpectrumPartition,
+    _householder,
     _moduli_tables,
     canonical_unmatched,
     character_spectrum,
@@ -102,6 +103,9 @@ def test_spectrum_is_paired_accepts_and_rejects():
     assert not spectrum_is_paired([3.0, 0.0], (3.0,))
     # a tie removes the first nearest value (-1.0), which leaves [1.0, 1.0]
     assert not spectrum_is_paired([1.0, -1.0, 1.0], (0.0,))
+    # a NaN matches nothing
+    assert not spectrum_is_paired([float("nan")], (0.0,))
+    assert not spectrum_is_paired([float("nan"), 1.0, -1.0], (0.0,))
 
 
 def test_multiset_close():
@@ -304,6 +308,46 @@ def test_numeric_spectrum_of_block_diagonal_matrix():
     assert max(abs(x - y) for x, y in zip(ours, expected)) < 1e-12
 
 
+def test_numeric_spectrum_splits_at_negligible_subdiagonal_entries():
+    # complete graphs K_1 ... K_6 on the diagonal share the eigenvalue -1,
+    # so after a random orthogonal change of basis the tridiagonal form has
+    # subdiagonal entries that are tiny but not exactly zero, and splits into
+    # blocks of unequal lengths; couplings between consecutive blocks fall
+    # on each side of the splitting threshold eps * (Gershgorin bound)
+    rng = np.random.default_rng(RNG_SEED + 6)
+    eps = np.finfo(float).eps
+    matrices = []
+    for layout in ((1, 2, 3, 4, 5, 6), (3, 3), (6, 1, 6), (2, 5, 2, 5)):
+        for coupling in (0.0, 1e-15, 1e-13, 1e-10):
+            n = sum(layout)
+            a = np.zeros((n, n))
+            at = 0
+            for size in layout:
+                a[at : at + size, at : at + size] = 1.0 - np.eye(size)
+                if at:
+                    a[at - 1, at] = a[at, at - 1] = coupling
+                at += size
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            rotated = q @ a @ q.T
+            matrices.append((rotated + rotated.T) / 2)
+    d, e = _householder(matrices[0].copy())
+    radius = np.abs(np.concatenate(([0.0], e, [0.0])))
+    bound = np.abs(np.concatenate((d - radius[:-1] - radius[1:], d + radius[:-1] + radius[1:]))).max()
+    assert ((np.abs(e) <= eps * bound) & (e != 0.0)).any()
+    # already tridiagonal: two equal longest blocks coupled by 1e-18, and a
+    # diagonal that dwarfs every coupling, so each row is its own block
+    path = np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+    twin = np.kron(np.eye(2), path)
+    twin[2, 3] = twin[3, 2] = 1e-18
+    matrices.append(twin)
+    matrices.append(np.diag(1e6 * np.arange(6.0)) + np.diag([1e-11] * 5, 1) + np.diag([1e-11] * 5, -1))
+    for a in matrices:
+        ours = numeric_spectrum(a)
+        reference = sorted(np.linalg.eigvalsh(a).tolist(), reverse=True)
+        limit = 1e-12 * max(1.0, abs(reference[0]), abs(reference[-1]))
+        assert max(abs(x - y) for x, y in zip(ours, reference)) <= limit
+
+
 def test_numeric_spectrum_on_order_400_folds():
     for spec in (TriangleSpec(400, 0, 0, 1, 0, 0), TriangleSpec(2, 0, 0, 200, 0, 0)):
         q, s = group_and_sumset(spec)
@@ -339,6 +383,10 @@ def test_numeric_spectrum_input_validation():
         numeric_spectrum(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         numeric_spectrum(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    inf, nan = float("inf"), float("nan")
+    for a in ([[inf, 1.0], [1.0, 0.0]], [[0.0, inf], [inf, 0.0]], [[nan, 1.0], [1.0, 0.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            numeric_spectrum(np.array(a))
     assert numeric_spectrum(np.array([[7.0]])) == [7.0]
 
 
