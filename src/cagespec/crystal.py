@@ -149,7 +149,9 @@ def path_family(n: int) -> CrystalSpec:
 
 def grid_family(d: int, sublattice: IntMatrix, a_choice: str = "edge") -> CrystalSpec:
     """Grid-like crystal on D_d: the 2d ambient neighbors are the unit vectors,
-    so the folded graph is 2d-regular with exactly 2^d semiedges.
+    so the folded graph is 2d-regular.  For d = 2 it has exactly 4 semiedges;
+    for d >= 3 the count depends on the sublattice (4, 6 or 8 for d = 3, and
+    2d for the identity).
 
     a_choice "edge" is the edge-midpoint center A = (1/2, 0, ..., 0); "center"
     (odd d only) is A = (1/2, ..., 1/2), for which any sublattice inside

@@ -183,18 +183,16 @@ def sum_set_spectra(
     k = len(elements)
     activity, invol, reps = _moduli_tables(group.moduli)
     raw = _parity_sums(elements, activity)
-    paired = [()] * k
-    if k:
-        chi = _character_dft(group, elements).reshape(k, group.order)
-        real = chi[:, invol]
-        err = np.abs(real - raw)
-        if err.max() > MATCH_TOL:
-            i = int(err.max(axis=1).argmax())
-            raise InvariantViolation(
-                f"DFT values at the real characters {real[i].real.tolist()} != exact "
-                f"parity sums {raw[i].tolist()} for {_row_name(group, names, i)}"
-            )
-        paired = np.sort(np.abs(chi[:, reps]), axis=1)[:, ::-1].tolist()
+    chi = _character_dft(group, elements).reshape(k, group.order)
+    real = chi[:, invol]
+    err = np.abs(real - raw)
+    if err.max(initial=0.0) > MATCH_TOL:
+        i = int(err.max(axis=1).argmax())
+        raise InvariantViolation(
+            f"DFT values at the real characters {real[i].real.tolist()} != exact "
+            f"parity sums {raw[i].tolist()} for {_row_name(group, names, i)}"
+        )
+    paired = np.sort(np.abs(chi[:, reps]), axis=1)[:, ::-1].tolist()
 
     if semiedge_totals is None:
         semiedge_totals = semiedge_counts(group, elements).tolist()
@@ -282,9 +280,10 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
     """A complete orthonormal eigensystem assembled from characters.
 
     Real characters give +-1 eigenvectors for the exact integer eigenvalues.
-    For a conjugate pair with value lambda = |chi(S)| > 0, a unimodular alpha
-    with alpha^2 chi(S) = |chi(S)| is chosen; Re(alpha chi) and Im(alpha chi)
-    are eigenvectors for +lambda and -lambda; alpha = 1 when |chi(S)| < 1e-12.
+    A Cayley sum graph maps chi to chi(S) conj(chi), so for a conjugate pair
+    with value lambda = |chi(S)| the unimodular alpha = exp(-i arg chi(S)/2),
+    which has alpha^2 chi(S) = lambda, makes Re(alpha chi) and Im(alpha chi)
+    eigenvectors for +lambda and -lambda.
     The values equal character_spectrum's exactly: both take np.abs of one DFT.
     """
     group = graph.group
@@ -293,7 +292,7 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
     activity, _, reps = _moduli_tables(group.moduli)
     chi_s = np.conj(_character_dft(group, elements).ravel()[reps])
     mag = np.abs(chi_s)
-    alpha = np.where(mag < 1e-12, 1.0, np.exp(-0.5j * np.angle(chi_s)))
+    alpha = np.exp(-0.5j * np.angle(chi_s))
     den = group._lcm
     # exact integer phases of every pair representative at every element
     phases = ((labels[:, reps].T * (den // np.array(group.moduli))) @ labels) % den
@@ -380,9 +379,9 @@ def numeric_spectrum(
         raise ValueError("matrix has non-finite entries")
     if not np.array_equal(work, work.T):
         raise ValueError("matrix is not symmetric")
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tol}")
     n = work.shape[0]
-    if n == 1:
-        return [float(work[0, 0])]
     # summed directly over the off-diagonal entries; subtracting the
     # diagonal from the full Frobenius norm cancels catastrophically
     off_mask = ~np.eye(n, dtype=bool)
@@ -402,35 +401,23 @@ def numeric_spectrum(
     cut = e2 <= (_EPS * bound) ** 2
     d = np.concatenate((d, [np.inf]))
     starts = np.flatnonzero(cut).tolist()
-    blocks = sorted(((t - s, s) for s, t in zip(starts, starts[1:])), reverse=True)
-    size, first = blocks[0]
+    blocks = [(t - s, s) for s, t in zip(starts, starts[1:])]
+    size = max(z for z, _ in blocks)
     points = 2 ** max(1, round(math.log2(_MULTISECTION_POINTS / n))) - 1
 
-    # The blocks sit side by side, longest first, each ending on the last of
-    # `size` rows.  The rows above a block have diagonal +inf and coupling 0,
-    # so their pivots stay +inf, and the block's first coupling, divided by
-    # +inf, vanishes.  Columns j * points ... j * points + points - 1 test
-    # eigenvalue j, the j_local-th of its block.  In the first `alone` rows
-    # only the longest block has rows: there it runs on its own columns,
-    # with scalar couplings.
-    alone = size - (blocks[1][0] if len(blocks) > 1 else 0)
-    lead_cols = size * points
-    lead_d, lead_e2 = d[first : first + alone, None], e2[first + 1 : first + alone].tolist()
-    # the source row of each later row in each block (n: a pad row)
-    src = [[s + r - size + z if r >= size - z else n for z, s in blocks] for r in range(alone, size)]
-    src = np.array(src, dtype=np.intp).reshape(size - alone, len(blocks))
-    src = src.repeat([z * points for z, _ in blocks], axis=1)
-    tail_d, tail_e2 = d[src], e2[src]
+    # The blocks sit side by side, in any order (the result is sorted), each
+    # ending on the last of `size` rows.  The rows above a shorter block have
+    # diagonal +inf and coupling 0, so their pivots stay +inf, and the
+    # block's first coupling, divided by +inf, vanishes.  src holds the source
+    # row of every row in each block (n: a pad row).  Columns
+    # j * points ... j * points + points - 1 test eigenvalue j, the j_local-th
+    # of its block.
+    src = [[s + r - size + z if r >= size - z else n for z, s in blocks] for r in range(size)]
+    src = np.array(src, dtype=np.intp).repeat([z * points for z, _ in blocks], axis=1)
+    diag, couplings = d[src], e2[src]
     j_local = np.array([i for z, _ in blocks for i in range(z)])[:, None]
     q = np.empty((size, n * points))
-    q[:alone, lead_cols:] = np.inf
-    lead, tail = q[:alone, :lead_cols], q[alone:]
-    lead_rows, rows = list(lead), list(q)
-    start = max(alone, 1)  # row 0 has no predecessor
-    steps = [
-        *zip(lead_rows, lead_rows[1:], lead_e2),
-        *zip(rows[start - 1 :], rows[start:], tail_e2[start - alone :]),
-    ]
+    steps = list(zip(q, q[1:], couplings[1:]))  # row 0 has no predecessor
 
     # row j: lo_j, the points tested for eigenvalue j, hi_j
     grid = np.empty((n, points + 2))
@@ -450,8 +437,7 @@ def numeric_spectrum(
             # Sturm: q_i = (d_i - x) - e_{i-1}^2 / q_{i-1}; the number of
             # negative q_i is the number of eigenvalues below x.  signbit
             # counts a pivot of -0.0 as 0-, whose successor is then +inf
-            np.subtract(lead_d, x[:lead_cols], out=lead)
-            np.subtract(tail_d, x, out=tail)
+            np.subtract(diag, x, out=q)
             for prev, row, b in steps:
                 row -= b / prev
             # uint16 sums twice as fast as the default int64, and a count

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cagespec.abelian import DegenerateLatticeError
-from cagespec.caysum import cayley_sum_graph, graph_to_json
+from cagespec.caysum import cayley_sum_graph, graph_to_json, total_semiedge_count
 from cagespec.crystal import (
     MAX_DIMENSION,
     CrystalSpec,
@@ -157,6 +157,21 @@ def test_plane_grids_have_four_semiedges():
         assert unmatched_multiset(spec) in ((4,), (4, 0))
 
 
+def test_space_grids_have_four_six_or_eight_semiedges():
+    # for d >= 3 the count is not 2^d: it depends on the sublattice
+    for rows, semiedges, unmatched in (
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 6, (6,)),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 8, (6, 2)),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 1]], 4, (6, -2)),
+    ):
+        spec = grid_family(3, IntMatrix.from_rows(rows))
+        q, s, graph = crystal_cayley(spec)
+        assert graph.total_semiedges == semiedges
+        assert total_semiedge_count(q.group, s) == semiedges
+        assert all(graph.degree(u) == 6 for u in graph.vertices())
+        assert unmatched_multiset(spec) == unmatched
+
+
 def test_grid_index_28_instance():
     spec = grid_family(2, IntMatrix.from_rows([[4, 0], [0, 7]]))
     _, _, graph = crystal_cayley(spec)
@@ -216,7 +231,7 @@ def test_offset_diamond_in_doubled_lattice_loses_all_semiedges():
         spec = diamond_family(3, doubled, a_choice="offset")
         _, _, graph = crystal_cayley(spec)
         assert graph.total_semiedges == 0
-        assert unmatched_multiset(spec) in ((4, -2, -2), (4, 0, -2, -2))
+        assert unmatched_multiset(spec) == (4, 0, -2, -2)
 
 
 def test_eight_vertex_diamond_spectrum():

@@ -257,12 +257,12 @@ def assert_matches_eigvalsh(a, **kwargs):
 
 def test_numeric_spectrum_edge_cases():
     rng = np.random.default_rng(RNG_SEED + 2)
-    # nothing to rotate: the first off-norm test returns, so one sweep suffices
+    # off-diagonal part at most tol: the early exit returns before any pass
     tiny = rng.uniform(-0.5, 0.5, size=(6, 6)) * EIGENSOLVER_TOL / 6
     below_threshold = np.diag(np.arange(6.0)) + tiny + tiny.T
     for a in (np.zeros((5, 5)), np.diag([3.0, -1.0, 0.0, 2.5, -1.0]), below_threshold):
         assert_matches_eigvalsh(a, max_sweeps=1)
-    # complete graphs: equal diagonals (tau = 0) and eigenvalue -1 of multiplicity n - 1
+    # complete graphs: eigenvalue -1 of multiplicity n - 1
     for n in (7, 8):
         ours = assert_matches_eigvalsh(np.ones((n, n)) - np.eye(n))
         assert max(abs(x - y) for x, y in zip(ours, [n - 1.0] + [-1.0] * (n - 1))) < 1e-9
@@ -387,6 +387,9 @@ def test_numeric_spectrum_input_validation():
     for a in ([[inf, 1.0], [1.0, 0.0]], [[0.0, inf], [inf, 0.0]], [[nan, 1.0], [1.0, 0.0]]):
         with pytest.raises(ValueError, match="non-finite"):
             numeric_spectrum(np.array(a))
+    for tol in (-1.0, nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            numeric_spectrum(np.array([[7.0]]), tol=tol)
     assert numeric_spectrum(np.array([[7.0]])) == [7.0]
 
 
