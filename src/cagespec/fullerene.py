@@ -7,11 +7,16 @@ cubic with semiedges, realizable as a Cayley sum graph over Z^2 / L, and its
 spectrum splits into a small unmatched multiset plus symmetric +- pairs.
 
 classify_chunk and verify_chunk check a list of specs; classify and
-verify_spec are the same routines on one spec.
+verify_spec are the same routines on one spec.  A lattice's quotient map is
+computed once for its translations: within a chunk by grouping, and across
+single-spec calls by a small memo of the most recent lattices.  The fold check
+compares every incidence of the folded graph with its own sum-set element.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -69,8 +74,10 @@ CASE_TABLE: dict[int, tuple[str, tuple[int, ...]]] = {
 class TriangleSpec:
     """Sublattice basis columns (p, q), (r, s) plus doubled translation (p1, p2).
 
-    p1 and p2 are parities and are reduced mod 2 on construction.  The basis
-    must be nonsingular.
+    Entries may be ints, bools or numpy integers and are stored as Python
+    ints; any other entry (a float, a string) raises ValueError.  p1 and p2
+    are parities and are reduced mod 2 on construction.  The basis must be
+    nonsingular.
     """
 
     p: int
@@ -81,6 +88,17 @@ class TriangleSpec:
     p2: int
 
     def __post_init__(self) -> None:
+        # the chained type test is the fast path for enumerate_specs' ints
+        if not (
+            type(self.p) is type(self.q) is type(self.r) is type(self.s)
+            is type(self.p1) is type(self.p2) is int
+        ):
+            try:
+                entries = tuple(map(operator.index, self.as_tuple()))
+            except TypeError as exc:
+                raise ValueError(f"spec entries must be integers: {exc}") from None
+            for name, value in zip(("p", "q", "r", "s", "p1", "p2"), entries):
+                object.__setattr__(self, name, value)
         if self.p * self.s - self.q * self.r == 0:
             raise DegenerateLatticeError(
                 f"triangle basis ({self.p},{self.q}), ({self.r},{self.s}) is degenerate"
@@ -105,15 +123,26 @@ class TriangleSpec:
 
 
 def _sum_set_elements(q: QuotientMap, t: TriangleSpec) -> list[Element]:
-    """The images of (p1-1, p2), (p1, p2-1) and (p1-1, p2-1) under the
-    quotient map q of t's lattice, unsorted."""
-    return [q.project(v) for v in ((t.p1 - 1, t.p2), (t.p1, t.p2 - 1), (t.p1 - 1, t.p2 - 1))]
+    """The images of (p1-1, p2-1), (p1, p2-1) and (p1-1, p2) under the
+    quotient map q of t's lattice, in this edge order: element k is the label
+    sum across edge k of every orbit of the fold (see _label_sums_match)."""
+    return [q.project(v) for v in ((t.p1 - 1, t.p2 - 1), (t.p1, t.p2 - 1), (t.p1 - 1, t.p2))]
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_quotient(p: int, q: int, r: int, s: int) -> QuotientMap:
+    """quotient_group of the lattice with columns (p, q), (r, s), shared by
+    consecutive calls on one lattice, such as the four translations of a
+    sweep.  The memo holds a few lattices only, so a batch of distinct
+    lattices evicts it; keys are Python ints (TriangleSpec stores them so).
+    """
+    return quotient_group(IntMatrix.from_rows([[p, r], [q, s]]))
 
 
 def group_and_sumset(t: TriangleSpec) -> tuple[QuotientMap, SumSet]:
     """Quotient group and connection multiset of the folded graph.
 
-    S collects the images of (p1-1, p2), (p1, p2-1) and (p1-1, p2-1) under the
+    S collects the images of (p1-1, p2-1), (p1, p2-1) and (p1-1, p2) under the
     quotient map, so the graph is CayS(Z^2/L, S).
     """
     q = quotient_group(t.lattice)
@@ -237,10 +266,18 @@ def fold_construction(t: TriangleSpec) -> FoldedGraph:
     return FoldedGraph(t, _fold_neighbours([t])[0])
 
 
-def _label_sums_match(q: QuotientMap, neighbours: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """verify_isomorphism for a (k, 3, a, c) stack of folds of q's lattice
-    against their (k, 3, rank) sum sets, each sorted, with a * c the order of
-    q's group: one bool per fold."""
+def _label_sums_match(q: QuotientMap, neighbours: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The per-edge fold check for a (k, 3, a, c) stack of folds of q's
+    lattice against their (k, 3, rank) sum sets in edge order (as
+    _sum_set_elements gives them), with a * c the order of q's group: one
+    bool per fold.
+
+    Labels are R @ (i, j) for the rows R of the quotient map, reduced and
+    packed by the group's indices.  Across edge e, up (i, j) meets the orbit
+    of up (p1-1-i+dx_e, p2-1-j+dy_e); as the labelling kills L, every orbit's
+    label sum across edge e is the image of (p1-1+dx_e, p2-1+dy_e), which is
+    element e of the sum set in edge order.
+    """
     group = q.group
     k, _, a, c = neighbours.shape
     n = a * c
@@ -248,40 +285,41 @@ def _label_sums_match(q: QuotientMap, neighbours: np.ndarray, elements: np.ndarr
     labels = q.matrix @ np.indices((a, c)).reshape(2, n)
     sums = labels[:, None, :] + labels[:, neighbours.reshape(3 * k, n)]
     sums = group.indices(sums.reshape(rank, 3 * k * n)).reshape(k, 3, n)
-    sums.sort(axis=1)
-    target = group.indices(elements.reshape(3 * k, rank).T).reshape(k, 3)
+    target = group.indices(edges.reshape(3 * k, rank).T).reshape(k, 3, 1)
     bijective = np.bincount(group.indices(labels), minlength=n).max() == 1
-    return bijective & (sums == target[:, :, None]).all(axis=(1, 2))
+    return bijective & (sums == target).all(axis=(1, 2))
 
 
 def verify_isomorphism(folded: FoldedGraph, q: QuotientMap, s: SumSet) -> bool:
     """Check that labelling orbits by the quotient map carries the folded graph
-    exactly onto CayS(Z^2/L, S): labels biject onto the group, and the three
-    label sums label(x) + label(y) over the neighbours y of every orbit x (a
-    semiedge gives 2 label(x)) are S as a multiset.
+    exactly onto CayS(Z^2/L, S): S is the fold's sum set, labels biject onto
+    the group, and for every orbit x the label sum label(x) + label(y) across
+    its edge k (a semiedge gives 2 label(x)) is the k-th element of S in edge
+    order.  So the neighbours of x are s - label(x) over S, edge by edge.
 
-    Labels are R @ (i, j) for the rows R of the quotient map, reduced and
-    packed by the group's indices; index order is lexicographic, so each
-    orbit's sorted sum indices compare directly against the sorted S.
+    Comparing each incidence with its own element also sees the order of a
+    vertex's edges, which a multiset comparison of the three sums would not.
     The reflection being an involution makes the incidence symmetric, so edge
     multiplicities need no separate check.
     """
     _, a, c = folded.neighbours.shape
-    if a * c != q.group.order or s.size != 3:
+    edges = _sum_set_elements(q, folded.spec)
+    if a * c != q.group.order or sorted(edges) != list(s.elements):
         return False
-    return bool(_label_sums_match(q, folded.neighbours[None], s.array[None])[0])
+    stack = np.array(edges, dtype=np.int64).reshape(1, 3, q.group.rank)
+    return bool(_label_sums_match(q, folded.neighbours[None], stack)[0])
 
 
 def _fold_matches(
-    t: TriangleSpec, q: QuotientMap, elements: np.ndarray, specs: Sequence[TriangleSpec]
+    t: TriangleSpec, q: QuotientMap, edges: np.ndarray, specs: Sequence[TriangleSpec]
 ) -> np.ndarray:
     """The fold check of verify_chunk, one bool per spec: for the specs
-    sharing t's lattice and elements, the (k, 3, rank) stack of their sorted
-    sum sets, whether each fold matches its Cayley sum graph, from one stacked
-    fold kernel.  A module-level name taking a spec first, so a tracer can
-    wrap the fold check and count t's vertices.
+    sharing t's lattice and edges, the (k, 3, rank) stack of their sum sets in
+    edge order, whether each fold matches its Cayley sum graph, from one
+    stacked fold kernel.  A module-level name taking a spec first, so a tracer
+    can wrap the fold check and count t's vertices.
     """
-    return _label_sums_match(q, _fold_neighbours(specs), elements)
+    return _label_sums_match(q, _fold_neighbours(specs), edges)
 
 
 @dataclass(frozen=True)
@@ -365,17 +403,17 @@ def _report(
 def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneReport]:
     """Reports of classify_chunk, plus the fold check of verify_chunk when fold.
 
-    Specs sharing a lattice (p, q, r, s) share its quotient and one stacked
-    fold check; specs whose quotients are equal groups share one element
-    array and one stacked spectrum DFT.  Every check still runs on each
-    spec's own sum set.
+    Specs sharing a lattice (p, q, r, s) share its quotient (from the memo
+    _lattice_quotient) and one stacked fold check; specs whose quotients are
+    equal groups share one sorted element array and one stacked spectrum DFT.
+    Every check still runs on each spec's own sum set.
     """
     by_lattice: dict[tuple[int, int, int, int], list[int]] = {}
     for i, t in enumerate(specs):
         by_lattice.setdefault((t.p, t.q, t.r, t.s), []).append(i)
     by_group: dict[tuple[int, ...], list[tuple[QuotientMap, list[int]]]] = {}
-    for rows in by_lattice.values():
-        q = quotient_group(specs[rows[0]].lattice)
+    for lattice, rows in by_lattice.items():
+        q = _lattice_quotient(*lattice)
         by_group.setdefault(q.group.moduli, []).append((q, rows))
 
     reports: list = [None] * len(specs)
@@ -383,22 +421,22 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneRep
         # rows lattice by lattice, so each lattice's sum sets are one slice
         group = lattices[0][0].group
         rows = [i for _, lattice_rows in lattices for i in lattice_rows]
-        sum_sets = [
-            sorted(_sum_set_elements(q, specs[i]))
-            for q, lattice_rows in lattices
-            for i in lattice_rows
+        in_edge_order = [
+            _sum_set_elements(q, specs[i]) for q, lattice_rows in lattices for i in lattice_rows
         ]
+        sum_sets = [sorted(x) for x in in_edge_order]
         elements = np.array(sum_sets, dtype=np.int64).reshape(len(rows), 3, group.rank)
         parts = sum_set_spectra(group, elements, names=[specs[i] for i in rows])
         for i, sum_set, part in zip(rows, sum_sets, parts):
             reports[i] = _report(specs[i], group, sum_set, part)
         if not fold:
             continue
+        edges = np.array(in_edge_order, dtype=np.int64).reshape(len(rows), 3, group.rank)
         start = 0
         for q, lattice_rows in lattices:
             lattice_specs = [specs[i] for i in lattice_rows]
             stop = start + len(lattice_specs)
-            matches = _fold_matches(lattice_specs[0], q, elements[start:stop], lattice_specs)
+            matches = _fold_matches(lattice_specs[0], q, edges[start:stop], lattice_specs)
             for t, match in zip(lattice_specs, matches):
                 if not match:
                     raise InvariantViolation(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import pickle
 import random
 from collections import Counter
@@ -136,6 +137,25 @@ def test_spec_validation():
     assert t.as_tuple() == (6, 2, -2, 6, 0, 1)
     assert t.lattice.column(0) == (6, 2)
     assert t.lattice.column(1) == (-2, 6)
+
+
+def test_spec_entries_are_stored_as_python_ints():
+    # a float spec equal to an integer one must not slip into its lattice group
+    with pytest.raises(ValueError):
+        verify_chunk([TriangleSpec(2, 0, 1, 3, 0, 0), TriangleSpec(2.0, 0, 1.0, 3, 0, 1)])
+    with pytest.raises(ValueError):
+        classify(TriangleSpec(1.0, 0, 0, 1, 0, 0))
+    # nor be answered from the memo an integer spec of its lattice just filled
+    classify(TriangleSpec(2, 0, 1, 3, 0, 0))
+    with pytest.raises(ValueError):
+        classify(TriangleSpec(2.0, 0, 1.0, 3, 0, 1))
+    with pytest.raises(ValueError):
+        TriangleSpec("2", 0, 1, 3, 0, 0)
+    t = TriangleSpec(np.int64(2), 0, 1, np.int64(3), True, np.int64(1))
+    assert all(type(x) is int for x in t.as_tuple())
+    assert t == TriangleSpec(2, 0, 1, 3, 1, 1)
+    report = classify(t).to_json()
+    assert json.loads(json.dumps(report)) == classify(TriangleSpec(2, 0, 1, 3, 1, 1)).to_json()
 
 
 def test_case_table_contents():
@@ -278,7 +298,8 @@ def test_fold_is_isomorphic_across_sweep():
         folded = fold_construction(t)
         q, s = group_and_sumset(t)
         assert verify_isomorphism(folded, q, s)
-        assert _fold_matches(t, q, s.array[None], [t])[0]
+        edges = np.array(fullerene._sum_set_elements(q, t))[None]
+        assert _fold_matches(t, q, edges, [t])[0]
 
 
 def test_fold_rejects_wrong_sum_set():
@@ -289,7 +310,7 @@ def test_fold_rejects_wrong_sum_set():
         if q.group.order < 3:
             continue
         folded = fold_construction(t)
-        elements = list(s.elements)
+        elements = fullerene._sum_set_elements(q, t)
         others = [x for x in q.group.element_tuple if x not in elements]
         if not others:
             continue
@@ -298,9 +319,31 @@ def test_fold_rejects_wrong_sum_set():
         if wrong.elements == s.elements:
             continue
         assert not verify_isomorphism(folded, q, wrong)
-        assert not _fold_matches(t, q, wrong.array[None], [t])[0]
+        assert not _fold_matches(t, q, np.array(elements)[None], [t])[0]
         checked += 1
     assert checked >= 20
+
+
+def test_fold_check_sees_the_order_of_incidences():
+    # swapping edges 1 and 2 of one cell keeps every label-sum multiset, but
+    # puts two incidences against the wrong sum-set element
+    rng = random.Random(RNG_SEED + 3)
+    swapped = 0
+    for t in enumerate_specs(40):
+        if t.index < 8:
+            continue
+        folded = fold_construction(t)
+        q, s = group_and_sumset(t)
+        neighbours = folded.neighbours.copy()
+        cells = np.argwhere(neighbours[1] != neighbours[2])
+        if not len(cells):
+            continue
+        x, y = cells[rng.randrange(len(cells))]
+        neighbours[[1, 2], x, y] = neighbours[[2, 1], x, y]
+        assert not verify_isomorphism(FoldedGraph(t, neighbours), q, s)
+        swapped += 1
+    # the 132 other folds of index 8-40 have no cell whose edges 1 and 2 differ
+    assert swapped == 5072
 
 
 def test_verify_spec_reports_and_passes():
@@ -332,6 +375,20 @@ REPORT_KEYS = [
     "spec", "moduli", "sum_set", "n_vertices", "semiedges", "f3", "f6",
     "M_raw", "M_canonical", "paired", "case", "spectral_radius",
 ]
+
+
+def test_single_spec_calls_through_the_memo_equal_the_chunk_path():
+    # other lattices fill the memo first; then each lattice of the sweep misses
+    # once and its other three translations hit
+    verify_chunk([*enumerate_specs(30)][-64:])
+    specs = list(enumerate_specs(12))
+    before = fullerene._lattice_quotient.cache_info()
+    single_verified = [verify_spec(t) for t in specs]
+    single_classified = [classify(t) for t in specs]
+    after = fullerene._lattice_quotient.cache_info()
+    assert after.hits > before.hits and after.misses > before.misses
+    assert single_verified == verify_chunk(specs)
+    assert single_classified == classify_chunk(specs)
 
 
 def test_a_report_is_its_spectrum_partition():
