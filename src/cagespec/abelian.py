@@ -43,15 +43,18 @@ class FiniteAbelianGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            moduli = tuple(map(operator.index, self.moduli))
-        except TypeError as exc:
-            raise ValueError(f"moduli must be integers: {exc}") from None
-        cleaned = tuple(n for n in moduli if n != 1)
-        for n in cleaned:
-            if n < 1:
-                raise ValueError(f"modulus must be a positive integer, got {n}")
-        object.__setattr__(self, "moduli", cleaned)
+        moduli = self.moduli
+        # a tuple of Python ints >= 1, such as a Smith diagonal, needs no conversion
+        if not (type(moduli) is tuple and all(type(n) is int and n > 0 for n in moduli)):
+            try:
+                moduli = tuple(map(operator.index, moduli))
+            except TypeError as exc:
+                raise ValueError(f"moduli must be integers: {exc}") from None
+            for n in moduli:
+                if n < 1:
+                    raise ValueError(f"modulus must be a positive integer, got {n}")
+        if moduli is not self.moduli or 1 in moduli:
+            object.__setattr__(self, "moduli", tuple(n for n in moduli if n != 1))
 
     @property
     def order(self) -> int:

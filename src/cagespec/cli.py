@@ -19,8 +19,10 @@ import re
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .abelian import DegenerateLatticeError
 from .caysum import cayley_sum_graph, graph_from_json, graph_to_json
@@ -366,26 +368,41 @@ def _cmd_spectrum(args) -> int:
 
 
 def _dedup_key(report: FullereneReport) -> tuple:
-    """The --dedup class: order, semiedges, moduli and the full spectrum
-    rounded to 9 decimals, held exactly as the sorted integers 10^9 v.
+    """The --dedup class of one report: _dedup_keys on [report]."""
+    return _dedup_keys([report])[0]
+
+
+def _dedup_keys(reports: Sequence[FullereneReport]) -> list[tuple]:
+    """The --dedup class of each report: order, semiedges, moduli and the
+    full spectrum rounded to 9 decimals, held exactly as the sorted integers
+    10^9 v.  The reports whose spectra have equal shapes (as many real
+    values, as many paired magnitudes) are rounded and sorted as one array.
 
     round(v, 9) is monotone and odd, so the rounded spectrum is the raw
     integers with +-round(p, 9) for each paired magnitude p, and round(p, 9)
     is the double nearest m / 10^9 for the integer m nearest p 10^9.  The
     product p * 1e9 is off by under 1e-6 for |p| < 9 (a cubic graph has
-    |p| <= 3), so rounding it gives m unless it lies that close to a
-    half-integer; there m is read off round(p, 9) itself.
+    |p| <= 3), so rounding it (half to even, as round does) gives m unless it
+    lies that close to a half-integer; there m is read off round(p, 9) itself.
     """
-    values = [v * 1_000_000_000 for v in report.unmatched_raw]
-    for p in report.paired:
-        x = p * 1e9
-        m = round(x)
-        if abs(x - m) > 0.5 - 1e-6:
-            m = round(round(p, 9) * 1e9)
-        values.append(m)
-        values.append(-m)
-    values.sort()
-    return (report.n_vertices, report.semiedges, report.moduli, tuple(values))
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, report in enumerate(reports):
+        by_shape.setdefault((len(report.unmatched_raw), len(report.paired)), []).append(i)
+    keys: list = [None] * len(reports)
+    for rows in by_shape.values():
+        raw = np.array([reports[i].unmatched_raw for i in rows], dtype=np.int64)
+        paired = np.array([reports[i].paired for i in rows], dtype=float)
+        x = paired * 1e9
+        m = np.rint(x)
+        for r, c in zip(*np.nonzero(np.abs(x - m) > 0.5 - 1e-6)):
+            # float() so that round is Python's correctly rounded one
+            m[r, c] = round(round(float(paired[r, c]), 9) * 1e9)
+        m = m.astype(np.int64)
+        values = np.sort(np.concatenate((raw * 1_000_000_000, m, -m), axis=1), axis=1)
+        for i, spectrum in zip(rows, values.tolist()):
+            report = reports[i]
+            keys[i] = (report.n_vertices, report.semiedges, report.moduli, tuple(spectrum))
+    return keys
 
 
 def _census_csv_cells(report: FullereneReport) -> list:
@@ -420,21 +437,22 @@ def _cmd_census(args) -> int:
     seen: set = set()
     total = 0
     emitted = 0
-    for report in chain.from_iterable(_sweep(classify_chunk, args.max_index, jobs)):
-        total += 1
-        cases[report.case] += 1
-        if args.dedup:
-            key = _dedup_key(report)
-            if key in seen:
-                continue
-            seen.add(key)
-        emitted += 1
-        if writer is not None:
-            writer.writerow(_census_csv_cells(report))
-        elif args.format == "json":
-            sys.stdout.write(json.dumps(report.to_json()) + "\n")
-        else:
-            sys.stdout.write(_census_human_line(report) + "\n")
+    for reports in _sweep(classify_chunk, args.max_index, jobs):
+        keys = _dedup_keys(reports) if args.dedup else [None] * len(reports)
+        for report, key in zip(reports, keys):
+            total += 1
+            cases[report.case] += 1
+            if args.dedup:
+                if key in seen:
+                    continue
+                seen.add(key)
+            emitted += 1
+            if writer is not None:
+                writer.writerow(_census_csv_cells(report))
+            elif args.format == "json":
+                sys.stdout.write(json.dumps(report.to_json()) + "\n")
+            else:
+                sys.stdout.write(_census_human_line(report) + "\n")
     case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
     print(
         f"census: {total} specs, {emitted} rows, cases {case_text}, violations: 0",

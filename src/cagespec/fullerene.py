@@ -35,8 +35,8 @@ from .intlinalg import IntMatrix
 from .spectra import (  # noqa: F401
     InvariantViolation,
     SpectrumPartition,
+    _spectrum_rows,
     spectrum_is_paired,
-    sum_set_spectra,
     sum_set_spectrum,
 )
 
@@ -136,7 +136,7 @@ def _lattice_quotient(p: int, q: int, r: int, s: int) -> QuotientMap:
     sweep.  The memo holds a few lattices only, so a batch of distinct
     lattices evicts it; keys are Python ints (TriangleSpec stores them so).
     """
-    return quotient_group(IntMatrix.from_rows([[p, r], [q, s]]))
+    return quotient_group(IntMatrix(((p, r), (q, s))))
 
 
 def group_and_sumset(t: TriangleSpec) -> tuple[QuotientMap, SumSet]:
@@ -192,13 +192,12 @@ def face_census(t: TriangleSpec) -> FaceCensus:
     yields a semiedge.  Hexagon count comes from 3|V| = 3 f3 + 6 f6 + (face
     length carried by semiedges), which reduces to f6 = (|V| - f3) / 2.
     """
-    points = (
-        (t.p1, t.p2),
-        (t.p1 + t.p, t.p2 + t.q),
-        (t.p1 + t.r, t.p2 + t.s),
-        (t.p1 + t.p + t.r, t.p2 + t.q + t.s),
-    )
-    f3 = sum(1 for x, y in points if x % 2 == 0 and y % 2 == 0)
+    # a point's parities as two bits x | y << 1: the points are
+    # o, o ^ u, o ^ v and o ^ u ^ v, and a point is even iff its bits are 0
+    o = t.p1 | t.p2 << 1
+    u = t.p & 1 | (t.q & 1) << 1
+    v = t.r & 1 | (t.s & 1) << 1
+    f3 = (o == 0) + (o == u) + (o == v) + (o == u ^ v)
     semi = 4 - f3
     n = t.index
     if (n - f3) % 2:
@@ -360,15 +359,16 @@ class FullereneReport(SpectrumPartition):
 
 
 def _report(
-    t: TriangleSpec, group: FiniteAbelianGroup, elements: list[Element], part: SpectrumPartition
+    t: TriangleSpec, group: FiniteAbelianGroup, elements: list[Element], spectrum: tuple
 ) -> FullereneReport:
     """Check t's counting and spectral invariants and report; elements is its
-    sorted sum set and part its spectrum partition."""
+    sorted sum set and spectrum its row of _spectrum_rows, the fields of a
+    SpectrumPartition."""
+    trace, raw, canonical, paired = spectrum
     census = face_census(t)
     n = group.order
     if n != t.index:
         raise InvariantViolation(f"group order {n} != lattice index {t.index} for {t.as_tuple()}")
-    trace = part.semiedge_total
     if trace != census.semiedges:
         raise InvariantViolation(
             f"s + f3 = 4 check failed: adjacency trace {trace} != 4 - f3 = "
@@ -379,16 +379,18 @@ def _report(
             f"semiedge count {census.semiedges} outside {{0,2,3,4}} for {t.as_tuple()}"
         )
     case, expected = CASE_TABLE[census.semiedges]
-    if part.unmatched_canonical != expected:
+    if canonical != expected:
         raise InvariantViolation(
-            f"canonical unmatched multiset {part.unmatched_canonical} != {expected} "
+            f"canonical unmatched multiset {canonical} != {expected} "
             f"for case {case}, spec {t.as_tuple()}"
         )
-    raw = part.unmatched_raw
     # raw and paired are descending, so their ends hold the largest magnitudes
-    radius = max(raw[0], -raw[-1], part.paired[0] if part.paired else 0.0)
+    radius = max(raw[0], -raw[-1], paired[0] if paired else 0.0)
     return FullereneReport(
-        **vars(part),
+        semiedge_total=trace,
+        unmatched_raw=raw,
+        unmatched_canonical=canonical,
+        paired=paired,
         spec=t,
         moduli=group.moduli,
         sum_set=tuple(elements),
@@ -426,9 +428,9 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneRep
         ]
         sum_sets = [sorted(x) for x in in_edge_order]
         elements = np.array(sum_sets, dtype=np.int64).reshape(len(rows), 3, group.rank)
-        parts = sum_set_spectra(group, elements, names=[specs[i] for i in rows])
-        for i, sum_set, part in zip(rows, sum_sets, parts):
-            reports[i] = _report(specs[i], group, sum_set, part)
+        spectrum_rows = _spectrum_rows(group, elements, names=[specs[i] for i in rows])
+        for i, sum_set, spectrum in zip(rows, sum_sets, spectrum_rows):
+            reports[i] = _report(specs[i], group, sum_set, spectrum)
         if not fold:
             continue
         edges = np.array(in_edge_order, dtype=np.int64).reshape(len(rows), 3, group.rank)

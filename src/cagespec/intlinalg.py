@@ -179,7 +179,9 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     divides the next; singular input simply yields trailing zeros.
     """
     dim = m.dim
-    a = [list(row) for row in m.rows]
+    # int() turns a bool entry (an int to IntMatrix) into 1 or 0, so every
+    # entry of u, v and d is a Python int and the results skip from_rows
+    a = [list(map(int, row)) for row in m.rows]
     u = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     v = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
 
@@ -247,7 +249,7 @@ def snf(m: IntMatrix) -> SnfDecomposition:
                 u[k][j] = -u[k][j]
 
     return SnfDecomposition(
-        u=IntMatrix.from_rows(u),
-        v=IntMatrix.from_rows(v),
-        d=IntMatrix.from_rows(a),
+        u=IntMatrix(tuple(map(tuple, u))),
+        v=IntMatrix(tuple(map(tuple, v))),
+        d=IntMatrix(tuple(map(tuple, a))),
     )

@@ -14,7 +14,9 @@ DFT of S's multiplicity array, so all paired magnitudes come from one DFT,
 shared by a whole stack of sum sets over one group and read at flat element
 indices from the group's own index map: a = -a marks the involutive labels,
 whose exact integer parity sums the DFT values must match, and a < -a the
-conjugate-pair representatives.
+conjugate-pair representatives.  That one routine yields plain rows of
+SpectrumPartition's fields: sum_set_spectra wraps them into partitions, and
+the fullerene sweep passes them straight into its reports.
 """
 
 from __future__ import annotations
@@ -169,6 +171,20 @@ def sum_set_spectra(
     """Exact spectrum partitions of CayS(group, S_i) for K sum sets S_i of m
     reduced elements each, unchecked: a (K, m, rank) integer array, or K
     sequences of m elements (sum sets of unequal sizes raise ValueError).
+    The partitions are the rows of _spectrum_rows; see there for the checks.
+    """
+    rows = _spectrum_rows(group, sum_sets, semiedge_totals, names)
+    return [SpectrumPartition(*row) for row in rows]
+
+
+def _spectrum_rows(
+    group: FiniteAbelianGroup,
+    sum_sets: np.ndarray | Sequence[Sequence[Element]],
+    semiedge_totals: Sequence[int] | None = None,
+    names: Sequence | None = None,
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[float, ...]]]:
+    """sum_set_spectra's partitions as plain (semiedge_total, unmatched_raw,
+    unmatched_canonical, paired) rows, the fields of SpectrumPartition.
 
     Real (involutive) characters contribute chi(S) as exact integers from
     parity sums; each conjugate character pair contributes the magnitude
@@ -196,16 +212,15 @@ def sum_set_spectra(
 
     if semiedge_totals is None:
         semiedge_totals = semiedge_counts(group, elements).tolist()
-    parts = []
+    rows = []
     for i, (values, total, pair) in enumerate(zip(raw.tolist(), semiedge_totals, paired)):
         if sum(values) != total:
             raise InvariantViolation(
                 f"trace identity violated: sum of real character values {sum(values)} "
                 f"!= semiedge total {total} for {_row_name(group, names, i)}"
             )
-        values, canonical = _sorted_and_canonical(tuple(values))
-        parts.append(SpectrumPartition(total, values, canonical, tuple(pair)))
-    return parts
+        rows.append((total, *_sorted_and_canonical(tuple(values)), tuple(pair)))
+    return rows
 
 
 @lru_cache(maxsize=1024)

@@ -37,8 +37,15 @@ def test_moduli_validation_and_reduction():
     for bad in (2.5, 2.0, "4", np.float64(3)):
         with pytest.raises(ValueError):
             FiniteAbelianGroup((bad, 3))
-    moduli = FiniteAbelianGroup((np.int64(4),)).moduli
-    assert moduli == (4,) and type(moduli[0]) is int
+    # ones are dropped wherever they stand, and every kept modulus is a
+    # Python int, whichever integer type it came as
+    cases = (((1, 4), (4,)), ((4, 1), (4,)), ((True, 3), (3,)), ((np.int64(4),), (4,)))
+    for given, expected in cases:
+        moduli = FiniteAbelianGroup(given).moduli
+        assert moduli == expected and all(type(n) is int for n in moduli)
+    for bad in ((4, 0), (1, -3), (True, False), (np.int64(0),)):
+        with pytest.raises(ValueError, match="modulus must be a positive integer"):
+            FiniteAbelianGroup(bad)
 
 
 def test_trivial_group():

@@ -464,6 +464,8 @@ def rounded_key(report) -> tuple:
 def assert_same_classes(reports) -> None:
     rounded = [rounded_key(report) for report in reports]
     exact = [cli._dedup_key(report) for report in reports]
+    # one call rounds every shape of spectrum in the list as its own array
+    assert cli._dedup_keys(reports) == exact
     assert len(set(rounded)) == len(set(exact)) == len(set(zip(rounded, exact)))
     for old, new in zip(rounded, exact):
         assert new[:3] == old[:3]

@@ -12,7 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cagespec import fullerene, spectra
-from cagespec.abelian import DegenerateLatticeError
+from cagespec.abelian import DegenerateLatticeError, FiniteAbelianGroup
 from cagespec.caysum import SumSet, cayley_sum_graph
 from cagespec.cli import main
 from cagespec.fullerene import (
@@ -238,6 +238,25 @@ def test_face_census_golden_values():
     assert face_census(TriangleSpec(2, 0, 0, 2, 0, 0)) == (4, 0, 0)
 
 
+# small lattices whose entries overflow int64
+BEYOND_INT64_SPECS = [
+    TriangleSpec(200000000000000000000, 3, 7, 0, 1, 1),
+    TriangleSpec(1, 200000000000000000000, 1, 200000000000000000002, 0, 0),
+    TriangleSpec(6, 200000000000000000000, 0, 6, 0, 0),
+]
+
+
+def test_face_census_counts_the_even_symmetry_points():
+    skew = [TriangleSpec(*pqrs, p1, p2) for pqrs in SKEW_BASES for p1, p2 in TRANSLATIONS]
+    for t in [*enumerate_specs(40), *skew, *BEYOND_INT64_SPECS]:
+        p, q, r, s, p1, p2 = t.as_tuple()
+        points = ((p1, p2), (p1 + p, p2 + q), (p1 + r, p2 + s), (p1 + p + r, p2 + q + s))
+        f3 = sum(1 for x, y in points if x % 2 == 0 and y % 2 == 0)
+        census = face_census(t)
+        assert census == (f3, (t.index - f3) // 2, 4 - f3)
+        assert all(type(v) is int for v in census)
+
+
 def test_counting_invariants_sweep():
     for t in enumerate_specs(10):
         report = classify(t)
@@ -404,6 +423,25 @@ def test_a_report_is_its_spectrum_partition():
         flat = dataclasses.replace(report, paired=(0.0,) * len(report.paired))
         assert flat.paired == (0.0,) * len(report.paired)
         assert (flat.spec, flat.semiedges) == (report.spec, report.semiedges)
+
+
+def test_reports_carry_what_the_public_spectrum_routine_gives():
+    # the pipeline reads the spectrum rows that sum_set_spectrum wraps into
+    # partitions, so both must agree on every report, floats included
+    specs = [*enumerate_specs(30), *extra_fold_specs()]
+    for check in (classify_chunk, verify_chunk):
+        for i in range(0, len(specs), 256):
+            for report in check(specs[i : i + 256]):
+                group = FiniteAbelianGroup(report.moduli)
+                part = spectra.sum_set_spectrum(group, SumSet(group, report.sum_set))
+                fields = (
+                    report.semiedge_total,
+                    report.unmatched_raw,
+                    report.unmatched_canonical,
+                    report.paired,
+                )
+                assert fields == dataclasses.astuple(part)
+                assert type(part) is SpectrumPartition
 
 
 def test_chunk_of_one_is_the_single_spec_call():
