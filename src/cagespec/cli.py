@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -103,8 +104,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {value}")
     return value
 
 
@@ -367,16 +368,12 @@ def _cmd_spectrum(args) -> int:
     return 0 if ok else 3
 
 
-def _dedup_key(report: FullereneReport) -> tuple:
-    """The --dedup class of one report: _dedup_keys on [report]."""
-    return _dedup_keys([report])[0]
-
-
 def _dedup_keys(reports: Sequence[FullereneReport]) -> list[tuple]:
-    """The --dedup class of each report: order, semiedges, moduli and the
-    full spectrum rounded to 9 decimals, held exactly as the sorted integers
-    10^9 v.  The reports whose spectra have equal shapes (as many real
-    values, as many paired magnitudes) are rounded and sorted as one array.
+    """The --dedup class of each report, the only key entry (a chunk at a
+    time): order, semiedges, moduli and the full spectrum rounded to 9
+    decimals, held exactly as the sorted integers 10^9 v.  The reports whose
+    spectra have equal shapes (as many real values, as many paired
+    magnitudes) are rounded and sorted as one array.
 
     round(v, 9) is monotone and odd, so the rounded spectrum is the raw
     integers with +-round(p, 9) for each paired magnitude p, and round(p, 9)
@@ -438,15 +435,17 @@ def _cmd_census(args) -> int:
     total = 0
     emitted = 0
     for reports in _sweep(classify_chunk, args.max_index, jobs):
-        keys = _dedup_keys(reports) if args.dedup else [None] * len(reports)
-        for report, key in zip(reports, keys):
-            total += 1
-            cases[report.case] += 1
-            if args.dedup:
-                if key in seen:
-                    continue
-                seen.add(key)
-            emitted += 1
+        total += len(reports)
+        cases.update(report.case for report in reports)
+        if args.dedup:
+            unseen = []
+            for report, key in zip(reports, _dedup_keys(reports)):
+                if key not in seen:
+                    seen.add(key)
+                    unseen.append(report)
+            reports = unseen
+        emitted += len(reports)
+        for report in reports:
             if writer is not None:
                 writer.writerow(_census_csv_cells(report))
             elif args.format == "json":

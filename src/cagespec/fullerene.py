@@ -9,7 +9,9 @@ spectrum splits into a small unmatched multiset plus symmetric +- pairs.
 classify_chunk and verify_chunk check a list of specs; classify and
 verify_spec are the same routines on one spec.  A lattice's quotient map is
 computed once for its translations: within a chunk by grouping, and across
-single-spec calls by a small memo of the most recent lattices.  The fold check
+single-spec calls by a small memo of the most recent lattices.  A chunk's sum
+sets over one group are built once, as one stack in edge order that feeds the
+spectrum and the fold check, and sorted only for the reports.  The fold check
 compares every incidence of the folded graph with its own sum-set element.
 """
 
@@ -362,8 +364,8 @@ def _report(
     t: TriangleSpec, group: FiniteAbelianGroup, elements: list[Element], spectrum: tuple
 ) -> FullereneReport:
     """Check t's counting and spectral invariants and report; elements is its
-    sorted sum set and spectrum its row of _spectrum_rows, the fields of a
-    SpectrumPartition."""
+    sum set in edge order, sorted only for the report's sum_set field, and
+    spectrum its row of _spectrum_rows, the fields of a SpectrumPartition."""
     trace, raw, canonical, paired = spectrum
     census = face_census(t)
     n = group.order
@@ -393,7 +395,7 @@ def _report(
         paired=paired,
         spec=t,
         moduli=group.moduli,
-        sum_set=tuple(elements),
+        sum_set=tuple(sorted(elements)),
         n_vertices=n,
         f3=census.f3,
         f6=census.f6,
@@ -406,9 +408,11 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneRep
     """Reports of classify_chunk, plus the fold check of verify_chunk when fold.
 
     Specs sharing a lattice (p, q, r, s) share its quotient (from the memo
-    _lattice_quotient) and one stacked fold check; specs whose quotients are
-    equal groups share one sorted element array and one stacked spectrum DFT.
-    Every check still runs on each spec's own sum set.
+    _lattice_quotient); specs whose quotients are equal groups share one
+    (k, 3, rank) stack of their sum sets in edge order, built once.  The whole
+    stack feeds one spectrum DFT (the spectrum does not depend on element
+    order), and each lattice's slice of it one stacked fold check.  Every
+    check still runs on each spec's own sum set.
     """
     by_lattice: dict[tuple[int, int, int, int], list[int]] = {}
     for i, t in enumerate(specs):
@@ -423,17 +427,15 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneRep
         # rows lattice by lattice, so each lattice's sum sets are one slice
         group = lattices[0][0].group
         rows = [i for _, lattice_rows in lattices for i in lattice_rows]
-        in_edge_order = [
+        sum_sets = [
             _sum_set_elements(q, specs[i]) for q, lattice_rows in lattices for i in lattice_rows
         ]
-        sum_sets = [sorted(x) for x in in_edge_order]
-        elements = np.array(sum_sets, dtype=np.int64).reshape(len(rows), 3, group.rank)
-        spectrum_rows = _spectrum_rows(group, elements, names=[specs[i] for i in rows])
+        edges = np.array(sum_sets, dtype=np.int64).reshape(len(rows), 3, group.rank)
+        spectrum_rows = _spectrum_rows(group, edges, names=[specs[i] for i in rows])
         for i, sum_set, spectrum in zip(rows, sum_sets, spectrum_rows):
             reports[i] = _report(specs[i], group, sum_set, spectrum)
         if not fold:
             continue
-        edges = np.array(in_edge_order, dtype=np.int64).reshape(len(rows), 3, group.rank)
         start = 0
         for q, lattice_rows in lattices:
             lattice_specs = [specs[i] for i in lattice_rows]

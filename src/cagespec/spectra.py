@@ -184,7 +184,9 @@ def _spectrum_rows(
     names: Sequence | None = None,
 ) -> list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[float, ...]]]:
     """sum_set_spectra's partitions as plain (semiedge_total, unmatched_raw,
-    unmatched_canonical, paired) rows, the fields of SpectrumPartition.
+    unmatched_canonical, paired) rows, the fields of SpectrumPartition.  A
+    row's elements may come in any order, which parity sums, multiplicities
+    and semiedge counts ignore: the fullerene sweep passes them in edge order.
 
     Real (involutive) characters contribute chi(S) as exact integers from
     parity sums; each conjugate character pair contributes the magnitude
@@ -242,22 +244,15 @@ def character_spectrum(graph: CaySumGraph) -> SpectrumPartition:
 def canonical_unmatched(values: Iterable[int]) -> tuple[int, ...]:
     """Cancel complete {lambda, -lambda} pairs out of an integer multiset.
 
-    For each magnitude the min(count(+), count(-)) pairs migrate to the paired
-    part of the spectrum; zeros cancel two at a time.  What remains is the
-    canonical unmatched multiset, returned descending.
+    The cancelled pairs migrate to the paired part of the spectrum, zeros two
+    at a time: of each value v there remain max(count(v) - count(-v), 0)
+    copies, and count(0) mod 2 copies of 0.  What remains is the canonical
+    unmatched multiset, returned descending.
     """
     counts = Counter(int(v) for v in values)
     result: list[int] = []
-    for mag in sorted({abs(v) for v in counts}, reverse=True):
-        if mag == 0:
-            if counts.get(0, 0) % 2:
-                result.append(0)
-            continue
-        pos, neg = counts.get(mag, 0), counts.get(-mag, 0)
-        if pos > neg:
-            result.extend([mag] * (pos - neg))
-        elif neg > pos:
-            result.extend([-mag] * (neg - pos))
+    for v, count in counts.items():
+        result += [v] * (count % 2 if v == 0 else max(count - counts.get(-v, 0), 0))
     return tuple(sorted(result, reverse=True))
 
 

@@ -463,7 +463,7 @@ def rounded_key(report) -> tuple:
 
 def assert_same_classes(reports) -> None:
     rounded = [rounded_key(report) for report in reports]
-    exact = [cli._dedup_key(report) for report in reports]
+    exact = [cli._dedup_keys([report])[0] for report in reports]
     # one call rounds every shape of spectrum in the list as its own array
     assert cli._dedup_keys(reports) == exact
     assert len(set(rounded)) == len(set(exact)) == len(set(zip(rounded, exact)))
@@ -731,6 +731,15 @@ def test_option_of_another_subcommand_exits_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "0", "-1", "nan", "abc"])
+def test_tolerance_must_be_a_finite_positive_number(value, capsys):
+    # an infinite tolerance would pass any numeric spectrum
+    code, out, err = run_cli(["spectrum", "--spec", "1,0,0,1,0,0", "--tolerance", value], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--tolerance" in err
 
 
 @pytest.mark.parametrize("value", ["0", "abc"])

@@ -463,14 +463,15 @@ ATTRIBUTION_OTHERS = [t for t in ATTRIBUTION_CHUNK if t != ATTRIBUTION_TARGET]
 
 def corrupt_dft_row(monkeypatch, target: TriangleSpec) -> str:
     """Shift the trivial-character value of the target's row of every
-    stacked DFT, found by its sorted sum set; returns the failed check."""
+    stacked DFT, found by its sum set in any element order; returns the
+    failed check."""
     character_dft = spectra._character_dft
     _, s = group_and_sumset(target)
 
     def corrupted(group, elements):
         chi = character_dft(group, elements)
         for row, row_elements in enumerate(elements):
-            if group == s.group and np.array_equal(row_elements, s.array):
+            if group == s.group and sorted(map(tuple, row_elements.tolist())) == list(s.elements):
                 chi[row].flat[0] += 0.5
         return chi
 
@@ -480,14 +481,14 @@ def corrupt_dft_row(monkeypatch, target: TriangleSpec) -> str:
 
 def corrupt_semiedge_row(monkeypatch, target: TriangleSpec) -> str:
     """Add one semiedge to the target's row of every stacked semiedge count,
-    found by its sorted sum set; returns the failed check."""
+    found by its sum set in any element order; returns the failed check."""
     semiedge_counts = spectra.semiedge_counts
     _, s = group_and_sumset(target)
 
     def corrupted(group, elements):
         totals = semiedge_counts(group, elements)
         for row, row_elements in enumerate(elements):
-            if group == s.group and np.array_equal(row_elements, s.array):
+            if group == s.group and sorted(map(tuple, row_elements.tolist())) == list(s.elements):
                 totals[row] += 1
         return totals
 

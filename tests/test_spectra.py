@@ -188,6 +188,25 @@ def test_stacked_spectra_equal_row_by_row_spectra():
         assert sum_set_spectra(g, []) == []
 
 
+def test_spectra_do_not_depend_on_element_order():
+    # the fullerene sweep passes its sum sets in edge order, not sorted: the
+    # spectra of permuted rows must equal those of the sorted rows, floats
+    # included
+    rng = random.Random(RNG_SEED + 7)
+    for moduli in STACK_MODULI:
+        g = FiniteAbelianGroup(moduli)
+        for size in (3, 4, 6):
+            rows = []
+            for _ in range(8):
+                drawn = [rng.choice(g.element_tuple) for _ in range(size - 1)]
+                rows.append(sorted([*drawn, rng.choice(drawn)]))  # one repeat at least
+            permuted = [rng.sample(row, size) for row in rows]
+            assert any(p != row for p, row in zip(permuted, rows)) or g.order == 1
+            assert sum_set_spectra(g, permuted) == sum_set_spectra(g, rows)
+            for p, row in zip(permuted, rows):
+                assert sum_set_spectra(g, [p]) == [sum_set_spectrum(g, SumSet(g, tuple(row)))]
+
+
 def test_moduli_tables_match_the_group_enumerations():
     # index arithmetic on one side, tuple enumeration on the other; the 1s
     # among the drawn moduli are dropped by the group
