@@ -3,7 +3,10 @@
 Each subcommand declares only the options it reads, so argparse rejects any
 other: `--format` with the formats the subcommand renders (JSON by default, CSV
 for `census`), `--tolerance` on `spectrum`, `--jobs` on `census` and `verify`.
-The sweeps hand chunks of specs to fullerene.classify_chunk and verify_chunk.
+The sweeps hand chunks of specs to the chunk routine behind
+fullerene.classify_chunk and verify_chunk, a bounded window of chunks at a
+time under --jobs, and take back plain rows of report fields: they count and
+key the rows, and build a FullereneReport only for a row they print.
 Exit code 0 means success, 2 a usage or parse problem (a group order above
 MAX_ORDER, or SPECTRUM_MAX_ORDER for `spectrum`, included), 3 a computation or
 invariant failure.
@@ -18,8 +21,9 @@ import math
 import os
 import re
 import sys
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
@@ -32,11 +36,10 @@ from .fullerene import (
     FullereneReport,
     InvariantViolation,
     TriangleSpec,
-    classify_chunk,
+    _check_chunk,
     enumerate_specs,
     fold_construction,
     group_and_sumset,
-    verify_chunk,
     verify_isomorphism,
     verify_spec,
 )
@@ -277,19 +280,41 @@ def _compact(values) -> str:
 
 def _sweep(chunk_fn: Callable, max_index: int, jobs: int) -> Iterator:
     """chunk_fn's results, in order, over enumerate_specs(max_index) cut into
-    lists of _CHUNK specs; the chunks run in jobs worker processes when
-    jobs > 1."""
+    lists of _CHUNK specs.  When jobs > 1 the chunks run in jobs worker
+    processes, at most 2 * jobs of them submitted ahead of the result
+    yielded, so the sweep draws its specs as it goes."""
     specs = enumerate_specs(max_index)
     chunks = iter(lambda: list(islice(specs, _CHUNK)), [])
     if jobs == 1:
         yield from map(chunk_fn, chunks)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(chunk_fn, chunks)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        window = deque(pool.submit(chunk_fn, chunk) for chunk in islice(chunks, 2 * jobs))
+        while window:
+            head = window.popleft()
+            window.extend(pool.submit(chunk_fn, chunk) for chunk in islice(chunks, 1))
+            yield head.result()
 
 
 def _verify_chunk(specs: list[TriangleSpec]) -> Counter:
-    return Counter(report.case for report in verify_chunk(specs))
+    """The cases of verify_chunk's reports, counted on its rows."""
+    return Counter(row.case for row in _check_chunk(specs, fold=True))
+
+
+def _census_chunk(specs: list[TriangleSpec], dedup: bool) -> tuple[Counter, list, list | None]:
+    """The cases of classify_chunk's reports, counted on its rows, and the
+    rows census may print, with their --dedup keys when dedup (else None).
+    Under dedup these are only the first row of each class in the chunk, as
+    later ones can never print.  Module-level, so that worker processes run
+    it and send back only those rows and keys."""
+    rows = _check_chunk(specs, fold=False)
+    cases = Counter(row.case for row in rows)
+    if not dedup:
+        return cases, rows, None
+    firsts: dict = {}
+    for row, key in zip(rows, _dedup_keys(rows)):
+        firsts.setdefault(key, row)
+    return cases, list(firsts.values()), list(firsts)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -368,12 +393,12 @@ def _cmd_spectrum(args) -> int:
     return 0 if ok else 3
 
 
-def _dedup_keys(reports: Sequence[FullereneReport]) -> list[tuple]:
-    """The --dedup class of each report, the only key entry (a chunk at a
-    time): order, semiedges, moduli and the full spectrum rounded to 9
-    decimals, held exactly as the sorted integers 10^9 v.  The reports whose
-    spectra have equal shapes (as many real values, as many paired
-    magnitudes) are rounded and sorted as one array.
+def _dedup_keys(reports: Sequence) -> list[tuple]:
+    """The --dedup class of each report, or of each row of report fields,
+    the only key entry (a chunk at a time): order, semiedges, moduli and the
+    full spectrum rounded to 9 decimals, held exactly as the sorted integers
+    10^9 v.  The reports whose spectra have equal shapes (as many real
+    values, as many paired magnitudes) are rounded and sorted as one array.
 
     round(v, 9) is monotone and odd, so the rounded spectrum is the raw
     integers with +-round(p, 9) for each paired magnitude p, and round(p, 9)
@@ -398,7 +423,7 @@ def _dedup_keys(reports: Sequence[FullereneReport]) -> list[tuple]:
         values = np.sort(np.concatenate((raw * 1_000_000_000, m, -m), axis=1), axis=1)
         for i, spectrum in zip(rows, values.tolist()):
             report = reports[i]
-            keys[i] = (report.n_vertices, report.semiedges, report.moduli, tuple(spectrum))
+            keys[i] = (report.n_vertices, report.semiedge_total, report.moduli, tuple(spectrum))
     return keys
 
 
@@ -432,20 +457,20 @@ def _cmd_census(args) -> int:
         writer.writerow(_CENSUS_HEADER)
     cases: Counter = Counter()
     seen: set = set()
-    total = 0
     emitted = 0
-    for reports in _sweep(classify_chunk, args.max_index, jobs):
-        total += len(reports)
-        cases.update(report.case for report in reports)
-        if args.dedup:
+    chunk_fn = partial(_census_chunk, dedup=args.dedup)
+    for chunk_cases, rows, keys in _sweep(chunk_fn, args.max_index, jobs):
+        cases.update(chunk_cases)
+        if keys is not None:
             unseen = []
-            for report, key in zip(reports, _dedup_keys(reports)):
+            for row, key in zip(rows, keys):
                 if key not in seen:
                     seen.add(key)
-                    unseen.append(report)
-            reports = unseen
-        emitted += len(reports)
-        for report in reports:
+                    unseen.append(row)
+            rows = unseen
+        emitted += len(rows)
+        for row in rows:
+            report = FullereneReport(*row)
             if writer is not None:
                 writer.writerow(_census_csv_cells(report))
             elif args.format == "json":
@@ -454,7 +479,7 @@ def _cmd_census(args) -> int:
                 sys.stdout.write(_census_human_line(report) + "\n")
     case_text = " ".join(f"{k}={cases[k]}" for k in sorted(cases))
     print(
-        f"census: {total} specs, {emitted} rows, cases {case_text}, violations: 0",
+        f"census: {sum(cases.values())} specs, {emitted} rows, cases {case_text}, violations: 0",
         file=sys.stderr,
     )
     return 0

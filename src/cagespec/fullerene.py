@@ -13,13 +13,16 @@ single-spec calls by a small memo of the most recent lattices.  A chunk's sum
 sets over one group are built once, as one stack in edge order that feeds the
 spectrum and the fold check, and sorted only for the reports.  The fold check
 compares every incidence of the folded graph with its own sum-set element.
+The chunk routine gives each spec's checked report fields as a plain row;
+classify_chunk and verify_chunk wrap each row as a FullereneReport, and the
+CLI sweeps count and key the rows and build reports only for printed rows.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -340,7 +343,7 @@ class FullereneReport(SpectrumPartition):
 
     @property
     def semiedges(self) -> int:
-        """The adjacency trace, which _report checks against 4 - f3."""
+        """The adjacency trace, which _report_row checks against 4 - f3."""
         return self.semiedge_total
 
     def to_json(self) -> dict:
@@ -360,12 +363,17 @@ class FullereneReport(SpectrumPartition):
         }
 
 
-def _report(
+# A checked spec's FullereneReport fields, in order, as a plain row: the sweeps
+# count and key rows, and build a report only for a row they hand out.
+_ReportRow = NamedTuple("_ReportRow", [(f.name, f.type) for f in fields(FullereneReport)])
+
+
+def _report_row(
     t: TriangleSpec, group: FiniteAbelianGroup, elements: list[Element], spectrum: tuple
-) -> FullereneReport:
-    """Check t's counting and spectral invariants and report; elements is its
-    sum set in edge order, sorted only for the report's sum_set field, and
-    spectrum its row of _spectrum_rows, the fields of a SpectrumPartition."""
+) -> _ReportRow:
+    """Check t's counting and spectral invariants and give its report's row;
+    elements is its sum set in edge order, sorted only for the sum_set field,
+    and spectrum its row of _spectrum_rows, the fields of a SpectrumPartition."""
     trace, raw, canonical, paired = spectrum
     census = face_census(t)
     n = group.order
@@ -388,24 +396,15 @@ def _report(
         )
     # raw and paired are descending, so their ends hold the largest magnitudes
     radius = max(raw[0], -raw[-1], paired[0] if paired else 0.0)
-    return FullereneReport(
-        semiedge_total=trace,
-        unmatched_raw=raw,
-        unmatched_canonical=canonical,
-        paired=paired,
-        spec=t,
-        moduli=group.moduli,
-        sum_set=tuple(sorted(elements)),
-        n_vertices=n,
-        f3=census.f3,
-        f6=census.f6,
-        case=case,
-        spectral_radius=float(radius),
+    return _ReportRow(
+        trace, raw, canonical, paired, t, group.moduli, tuple(sorted(elements)),
+        n, census.f3, census.f6, case, float(radius),
     )
 
 
-def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneReport]:
-    """Reports of classify_chunk, plus the fold check of verify_chunk when fold.
+def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[_ReportRow]:
+    """The rows of classify_chunk's reports, plus the fold check of
+    verify_chunk when fold.
 
     Specs sharing a lattice (p, q, r, s) share its quotient (from the memo
     _lattice_quotient); specs whose quotients are equal groups share one
@@ -422,7 +421,7 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneRep
         q = _lattice_quotient(*lattice)
         by_group.setdefault(q.group.moduli, []).append((q, rows))
 
-    reports: list = [None] * len(specs)
+    checked: list = [None] * len(specs)
     for lattices in by_group.values():
         # rows lattice by lattice, so each lattice's sum sets are one slice
         group = lattices[0][0].group
@@ -433,7 +432,7 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneRep
         edges = np.array(sum_sets, dtype=np.int64).reshape(len(rows), 3, group.rank)
         spectrum_rows = _spectrum_rows(group, edges, names=[specs[i] for i in rows])
         for i, sum_set, spectrum in zip(rows, sum_sets, spectrum_rows):
-            reports[i] = _report(specs[i], group, sum_set, spectrum)
+            checked[i] = _report_row(specs[i], group, sum_set, spectrum)
         if not fold:
             continue
         start = 0
@@ -447,22 +446,23 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneRep
                         f"fold does not match the Cayley sum graph for {t.as_tuple()}"
                     )
             start = stop
-    return reports
+    return checked
 
 
 def classify_chunk(specs: Sequence[TriangleSpec]) -> list[FullereneReport]:
     """classify() of each spec, in order.  The group, sum set and spectrum are
     derived, the counting and spectral invariants checked, and each spec
-    reported; quotients are shared per lattice and spectrum DFTs per group."""
-    return _check_chunk(specs, fold=False)
+    reported; quotients are shared per lattice and spectrum DFTs per group.
+    Each report wraps its row of _check_chunk."""
+    return [FullereneReport(*row) for row in _check_chunk(specs, fold=False)]
 
 
 def verify_chunk(specs: Sequence[TriangleSpec]) -> list[FullereneReport]:
     """verify_spec() of each spec, in order: classify_chunk plus the geometric
     cross-check, one stacked fold check per lattice.  The folded
     triangulation must be isomorphic (via the quotient labelling) to the
-    Cayley sum graph."""
-    return _check_chunk(specs, fold=True)
+    Cayley sum graph.  Each report wraps its row of _check_chunk."""
+    return [FullereneReport(*row) for row in _check_chunk(specs, fold=True)]
 
 
 def classify(t: TriangleSpec) -> FullereneReport:

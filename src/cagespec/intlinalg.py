@@ -48,6 +48,14 @@ class IntMatrix:
             raise ValueError(f"expected rows of integers: {exc}") from None
 
     @classmethod
+    def _of_ints(cls, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+        """A matrix of rows already known to be square tuples of Python ints,
+        stored without the entry checks."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
+
+    @classmethod
     def identity(cls, d: int) -> IntMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
 
@@ -177,7 +185,18 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     smallest absolute value in the trailing submatrix, the first such entry in
     row-major scan order.  Diagonal entries come out nonnegative and each
     divides the next; singular input simply yields trailing zeros.
+
+    A 2x2 input, the lattice of every triangle spec, runs the same elimination
+    unrolled over four local entries; any other dimension runs the general
+    loop.  Both give the same u, v and d.
     """
+    if m.dim == 2:
+        return _snf_2x2(m)
+    return _snf_general(m)
+
+
+def _snf_general(m: IntMatrix) -> SnfDecomposition:
+    """snf() of any dimension, by the elimination loop over row lists."""
     dim = m.dim
     # int() turns a bool entry (an int to IntMatrix) into 1 or 0, so every
     # entry of u, v and d is a Python int and the results skip from_rows
@@ -249,7 +268,62 @@ def snf(m: IntMatrix) -> SnfDecomposition:
                 u[k][j] = -u[k][j]
 
     return SnfDecomposition(
-        u=IntMatrix(tuple(map(tuple, u))),
-        v=IntMatrix(tuple(map(tuple, v))),
-        d=IntMatrix(tuple(map(tuple, a))),
+        u=IntMatrix._of_ints(tuple(map(tuple, u))),
+        v=IntMatrix._of_ints(tuple(map(tuple, v))),
+        d=IntMatrix._of_ints(tuple(map(tuple, a))),
+    )
+
+
+def _snf_2x2(m: IntMatrix) -> SnfDecomposition:
+    """_snf_general on a 2x2 input, stage 0 unrolled: the same pivot rule,
+    floor-division reductions, fix-up (row 0 += row 1) and sign rule.  The
+    entries are a b / c d, u and v start as the identity, and stage 1 (the
+    1x1 block d) has nothing to reduce."""
+    (a, b), (c, d) = m.rows
+    a, b, c, d = int(a), int(b), int(c), int(d)
+    u00, u01, u10, u11 = 1, 0, 0, 1
+    v00, v01, v10, v11 = 1, 0, 0, 1
+    while True:
+        best, pos = abs(a), 0
+        if b and (not best or abs(b) < best):
+            best, pos = abs(b), 1
+        if c and (not best or abs(c) < best):
+            best, pos = abs(c), 2
+        if d and (not best or abs(d) < best):
+            best, pos = abs(d), 3
+        if not best:
+            break  # the zero matrix
+        if pos > 1:
+            a, b, c, d = c, d, a, b
+            u00, u01, u10, u11 = u10, u11, u00, u01
+        if pos & 1:
+            a, b, c, d = b, a, d, c
+            v00, v01, v10, v11 = v01, v00, v11, v10
+        if c:
+            quo = c // a
+            c -= quo * a
+            d -= quo * b
+            u10 -= quo * u00
+            u11 -= quo * u01
+        if b:
+            quo = b // a
+            b -= quo * a
+            d -= quo * c
+            v01 -= quo * v00
+            v11 -= quo * v10
+        if b or c:
+            continue  # remainders smaller than the pivot exist; re-pivot
+        if d % a == 0:
+            break
+        b = d  # row 0 += row 1, whose entry c is 0
+        u00 += u10
+        u01 += u11
+    if a < 0:
+        a, u00, u01 = -a, -u00, -u01
+    if d < 0:
+        d, u10, u11 = -d, -u10, -u11
+    return SnfDecomposition(
+        u=IntMatrix._of_ints(((u00, u01), (u10, u11))),
+        v=IntMatrix._of_ints(((v00, v01), (v10, v11))),
+        d=IntMatrix._of_ints(((a, 0), (0, d))),
     )

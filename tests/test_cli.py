@@ -423,6 +423,33 @@ def test_census_parallel_matches_serial(capsys):
     assert parallel_err == serial_err
 
 
+def test_a_parallel_sweep_draws_a_bounded_window_of_chunks(monkeypatch):
+    drawn = 0
+
+    def counting_specs(max_index):
+        nonlocal drawn
+        for t in enumerate_specs(max_index):
+            drawn += 1
+            yield t
+
+    monkeypatch.setattr(cli, "enumerate_specs", counting_specs)
+    sweep = cli._sweep(len, 60, 2)  # 12,056 specs, 48 chunks
+    assert next(sweep) == cli._CHUNK
+    # the window of 2 * jobs chunks, plus the one drawn to refill it
+    assert drawn <= 5 * cli._CHUNK
+    assert cli._CHUNK + sum(sweep) == drawn == 12056
+
+
+@pytest.mark.parametrize("command", [["verify"], ["census", "--dedup"]])
+def test_sweep_over_more_chunks_than_the_window_matches_serial(command, capsys):
+    argv = [command[0], "--max-index", "30", *command[1:]]  # 3,048 specs, 12 chunks
+    code, serial, serial_err = run_cli([*argv, "--jobs", "1"], capsys)
+    assert code == 0
+    code, parallel, parallel_err = run_cli([*argv, "--jobs", "2"], capsys)
+    assert code == 0
+    assert (parallel, parallel_err) == (serial, serial_err)
+
+
 def test_census_jobs_env_fallback(capsys, monkeypatch):
     code, serial, _ = run_cli(["census", "--max-index", "2"], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from cagespec.intlinalg import IntMatrix, det, is_unimodular, minor_gcd, snf
+from cagespec.intlinalg import IntMatrix, _snf_general, det, is_unimodular, minor_gcd, snf
 
 RNG_SEED = 0x51AF
 N_RANDOM = 200
@@ -142,6 +143,25 @@ def test_snf_golden_two_by_two():
     assert dec.u.to_lists() == [[-1, 0], [3, 1]]
     assert dec.v.to_lists() == [[0, 1], [1, 3]]
     assert (dec.u @ a @ dec.v).rows == dec.d.rows
+
+
+def test_snf_two_by_two_path_equals_the_general_elimination():
+    # snf picks the unrolled path for a 2x2 input; u, v and d must be the
+    # general loop's exactly, not only another valid Smith form
+    small = itertools.product(range(-4, 5), repeat=4)
+    rng = random.Random(RNG_SEED + 6)
+    huge = (
+        [rng.randint(-(10**20), 10**20) for _ in range(4)] for _ in range(2000)
+    )
+    bools = itertools.product((False, True, 0, 1, -1), repeat=4)
+    count = 0
+    for p, q, r, s in itertools.chain(small, huge, bools):
+        m = IntMatrix(((p, q), (r, s)))
+        dec = snf(m)
+        assert dec == _snf_general(m)
+        assert all(type(x) is int for x in itertools.chain(*dec.u.rows, *dec.v.rows, *dec.d.rows))
+        count += 1
+    assert count == 9**4 + 2000 + 5**4
 
 
 def test_snf_singular_matrix():
