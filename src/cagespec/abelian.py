@@ -5,13 +5,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .intlinalg import IntMatrix, snf
+from .intlinalg import IntMatrix, _int_tuple, snf
 
 __all__ = [
     "Element",
@@ -37,22 +36,17 @@ class FiniteAbelianGroup:
 
     This class owns the package's element-index convention, row-major
     (lexicographic) rank: index_of and element_tuple apply it to one element,
-    labels and indices to whole arrays, and no other module re-derives it.
+    labels and indices to whole arrays, _moduli_tables reads the character
+    tables off it once per moduli tuple, and no other module re-derives it.
     """
 
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        moduli = self.moduli
-        # a tuple of Python ints >= 1, such as a Smith diagonal, needs no conversion
-        if not (type(moduli) is tuple and all(type(n) is int and n > 0 for n in moduli)):
-            try:
-                moduli = tuple(map(operator.index, moduli))
-            except TypeError as exc:
-                raise ValueError(f"moduli must be integers: {exc}") from None
-            for n in moduli:
-                if n < 1:
-                    raise ValueError(f"modulus must be a positive integer, got {n}")
+        moduli = _int_tuple(self.moduli, "moduli")
+        for n in moduli:
+            if n < 1:
+                raise ValueError(f"modulus must be a positive integer, got {n}")
         if moduli is not self.moduli or 1 in moduli:
             object.__setattr__(self, "moduli", tuple(n for n in moduli if n != 1))
 
@@ -105,10 +99,10 @@ class FiniteAbelianGroup:
         return np.ravel_multi_index(tuple(coords), self.moduli, mode="wrap")
 
     def reduce(self, vector) -> Element:
-        """Reduce an arbitrary integer vector componentwise into the group."""
+        """Reduce an integer vector componentwise into the group; a float raises ValueError."""
         if len(vector) != len(self.moduli):
             raise ValueError(f"vector {vector!r} has wrong length for moduli {self.moduli}")
-        return tuple(int(v) % n for v, n in zip(vector, self.moduli))
+        return tuple(v % n for v, n in zip(_int_tuple(vector, "vector coordinates"), self.moduli))
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.moduli))
@@ -164,6 +158,29 @@ class FiniteAbelianGroup:
             if a < na:
                 reps.append(a)
         return reps
+
+
+@lru_cache(maxsize=1024)
+def _moduli_tables(
+    moduli: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Read-only tables of one moduli tuple's group, computed once per tuple:
+    the (rank, |G[2]|) 0/1 activity matrix, entry (j, c) set iff coordinate j
+    of the c-th involutive label is nonzero; the ascending (so lexicographic)
+    indices of the involutive labels a = -a and of the pair representatives
+    a < -a; and the (rank,) 0/1 indicator of the even moduli and their number,
+    read off the moduli alone, not the labels: semiedge counts built on it
+    stay a second route to the parity sums built on the activity."""
+    group = FiniteAbelianGroup(moduli)
+    index = np.arange(group.order)
+    negated = group.indices(-group.labels)
+    invol = np.flatnonzero(negated == index)
+    reps = np.flatnonzero(index < negated)
+    activity = (group.labels[:, invol] != 0).astype(np.int64)
+    even = np.array([n % 2 == 0 for n in group.moduli], dtype=np.int64)
+    for table in (activity, invol, reps, even):
+        table.flags.writeable = False
+    return activity, invol, reps, even, int(even.sum())
 
 
 @dataclass(frozen=True)

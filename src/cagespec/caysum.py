@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from .abelian import Element, FiniteAbelianGroup
+from .abelian import Element, FiniteAbelianGroup, _moduli_tables
+from .intlinalg import _int_tuple
 
 __all__ = [
     "SumSet",
@@ -36,13 +37,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SumSet:
-    """Multiset of group elements, stored sorted; repetitions are meaningful."""
+    """Multiset of group elements, stored sorted as Python ints (a float
+    coordinate raises ValueError); repetitions are meaningful."""
 
     group: FiniteAbelianGroup
     elements: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        elems = tuple(sorted(tuple(x) for x in self.elements))
+        elems = tuple(sorted(_int_tuple(x, "sum set coordinates") for x in self.elements))
         for x in elems:
             self.group._check(x)
         object.__setattr__(self, "elements", elems)
@@ -54,7 +56,7 @@ class SumSet:
     @property
     def array(self) -> np.ndarray:
         """The elements as the rows of a (size, rank) int64 array."""
-        return np.array(self.elements, dtype=np.int64).reshape(self.size, self.group.rank)
+        return _element_stack([self.elements], self.group.rank)[0]
 
     @cached_property
     def counts(self) -> Counter:
@@ -171,8 +173,7 @@ def semiedge_count(group: FiniteAbelianGroup, elements) -> int:
     """Total semiedge count of CayS(group, S) for a multiset S of reduced
     elements (sequences of residues), without checking them: semiedge_counts
     on the one row S."""
-    rows = np.array(elements, dtype=np.int64).reshape(1, len(elements), group.rank)
-    return int(semiedge_counts(group, rows)[0])
+    return int(semiedge_counts(group, _element_stack([elements], group.rank))[0])
 
 
 def semiedge_counts(group: FiniteAbelianGroup, elements: np.ndarray) -> np.ndarray:
@@ -185,16 +186,22 @@ def semiedge_counts(group: FiniteAbelianGroup, elements: np.ndarray) -> np.ndarr
     even and none otherwise), so no graph is built: only the parities of the
     even-modulus coordinates are read.
     """
-    even, n_even = _even_moduli(group.moduli)
+    _, _, _, even, n_even = _moduli_tables(group.moduli)
     return ((elements & 1) @ even == 0).sum(axis=1) << n_even
 
 
-@lru_cache(maxsize=1024)
-def _even_moduli(moduli: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """The read-only (rank,) 0/1 indicator of the even moduli, and their number."""
-    even = np.array([n % 2 == 0 for n in moduli], dtype=np.int64)
-    even.flags.writeable = False
-    return even, int(even.sum())
+def _element_stack(sum_sets, rank: int) -> np.ndarray:
+    """sum_sets, a (K, m, rank) integer array or K sequences of m reduced
+    elements each, as a (K, m, rank) int64 array.  Sum sets of unequal sizes
+    and non-integer coordinates (floats, strings) raise ValueError."""
+    try:
+        stack = np.asarray(sum_sets)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise ValueError("sum sets of unequal sizes or ranks cannot share a stack") from None
+    if stack.dtype.kind not in "biu" and stack.size:  # an empty stack converts as float64
+        raise ValueError(f"sum set coordinates must be integers, got dtype {stack.dtype}")
+    k = len(stack)
+    return stack.astype(np.int64, copy=False).reshape(k, stack.shape[1] if k else 0, rank)
 
 
 def cayley_graph(group: FiniteAbelianGroup, connection: SumSet) -> np.ndarray:

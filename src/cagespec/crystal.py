@@ -12,7 +12,6 @@ D_d.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -20,7 +19,7 @@ from typing import Sequence
 from .abelian import DegenerateLatticeError, QuotientMap, quotient_group
 from .caysum import CaySumGraph, SumSet, cayley_sum_graph
 from .fullerene import TriangleSpec
-from .intlinalg import IntMatrix, det
+from .intlinalg import IntMatrix, _int_tuple, det
 from .spectra import sum_set_spectrum
 
 __all__ = [
@@ -57,10 +56,7 @@ class CrystalSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= MAX_DIMENSION:
             raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {self.dim}")
-        try:
-            lifted = tuple(tuple(map(operator.index, v)) for v in self.lifted_sum_set)
-        except TypeError as exc:
-            raise ValueError(f"lifted sum set entries must be integers: {exc}") from None
+        lifted = tuple(_int_tuple(v, "lifted sum set entries") for v in self.lifted_sum_set)
         if not lifted:
             raise ValueError("lifted sum set must be nonempty")
         for v in lifted:

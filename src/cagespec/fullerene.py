@@ -21,7 +21,6 @@ CLI sweeps count and key the rows and build reports only for printed rows.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple, Sequence
 
@@ -29,14 +28,14 @@ import numpy as np
 
 from .abelian import DegenerateLatticeError, Element, FiniteAbelianGroup, QuotientMap
 from .abelian import quotient_group
-from .caysum import SumSet, _NeighbourGraph
+from .caysum import SumSet, _NeighbourGraph, _element_stack
 
 # total_semiedge_count, sum_set_spectrum and spectrum_is_paired are not called
 # by the pipeline; they stay importable from this module because perfbench's
 # trace table looks each layer up by module and name, and its self-tests
 # require every hook target to resolve.
 from .caysum import total_semiedge_count  # noqa: F401
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _int_tuple
 from .spectra import (  # noqa: F401
     InvariantViolation,
     SpectrumPartition,
@@ -98,10 +97,7 @@ class TriangleSpec:
             type(self.p) is type(self.q) is type(self.r) is type(self.s)
             is type(self.p1) is type(self.p2) is int
         ):
-            try:
-                entries = tuple(map(operator.index, self.as_tuple()))
-            except TypeError as exc:
-                raise ValueError(f"spec entries must be integers: {exc}") from None
+            entries = _int_tuple(self.as_tuple(), "spec entries")
             for name, value in zip(("p", "q", "r", "s", "p1", "p2"), entries):
                 object.__setattr__(self, name, value)
         if self.p * self.s - self.q * self.r == 0:
@@ -310,7 +306,7 @@ def verify_isomorphism(folded: FoldedGraph, q: QuotientMap, s: SumSet) -> bool:
     edges = _sum_set_elements(q, folded.spec)
     if a * c != q.group.order or sorted(edges) != list(s.elements):
         return False
-    stack = np.array(edges, dtype=np.int64).reshape(1, 3, q.group.rank)
+    stack = _element_stack([edges], q.group.rank)
     return bool(_label_sums_match(q, folded.neighbours[None], stack)[0])
 
 
@@ -429,7 +425,7 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[_ReportRow]:
         sum_sets = [
             _sum_set_elements(q, specs[i]) for q, lattice_rows in lattices for i in lattice_rows
         ]
-        edges = np.array(sum_sets, dtype=np.int64).reshape(len(rows), 3, group.rank)
+        edges = _element_stack(sum_sets, group.rank)
         spectrum_rows = _spectrum_rows(group, edges, names=[specs[i] for i in rows])
         for i, sum_set, spectrum in zip(rows, sum_sets, spectrum_rows):
             checked[i] = _report_row(specs[i], group, sum_set, spectrum)

@@ -21,6 +21,17 @@ __all__ = [
 ]
 
 
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of Python ints (values itself if it is one): bools and
+    numpy integers convert, and a float or string entry raises ValueError."""
+    if type(values) is tuple and all(type(v) is int for v in values):
+        return values
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable square integer matrix stored as a tuple of row tuples."""
@@ -42,10 +53,7 @@ class IntMatrix:
     def from_rows(cls, rows) -> IntMatrix:
         """Rows of ints, bools or numpy integers, stored as Python ints; any
         other entry (a float, a string) raises ValueError."""
-        try:
-            return cls(tuple(tuple(map(operator.index, row)) for row in rows))
-        except TypeError as exc:
-            raise ValueError(f"expected rows of integers: {exc}") from None
+        return cls(tuple(_int_tuple(row, "matrix entries") for row in rows))
 
     @classmethod
     def _of_ints(cls, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:

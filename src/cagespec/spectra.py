@@ -11,12 +11,12 @@ many row steps as the longest block (0.07 s in all at order 400).
 
 The character sums chi_a(S) over Z_n1 x ... x Z_nk are the multidimensional
 DFT of S's multiplicity array, so all paired magnitudes come from one DFT,
-shared by a whole stack of sum sets over one group and read at flat element
-indices from the group's own index map: a = -a marks the involutive labels,
-whose exact integer parity sums the DFT values must match, and a < -a the
-conjugate-pair representatives.  That one routine yields plain rows of
-SpectrumPartition's fields: sum_set_spectra wraps them into partitions, and
-the fullerene sweep passes them straight into its reports.
+shared by a whole stack of sum sets over one group and read at the flat
+indices of the group's tables (abelian._moduli_tables): a = -a marks the
+involutive labels, whose exact parity sums the DFT values must match, and
+a < -a the conjugate-pair representatives.  That one routine yields plain
+rows of SpectrumPartition's fields: sum_set_spectra wraps them into
+partitions, and the fullerene sweep passes them straight into its reports.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .abelian import Element, FiniteAbelianGroup
-from .caysum import CaySumGraph, InvariantViolation, SumSet, semiedge_counts
+from .abelian import Element, FiniteAbelianGroup, _moduli_tables
+from .caysum import CaySumGraph, InvariantViolation, SumSet, _element_stack, semiedge_counts
 
 __all__ = [
     "EIGENSOLVER_TOL",
@@ -92,34 +92,6 @@ class SpectrumPartition:
         }
 
 
-@lru_cache(maxsize=1024)
-def _moduli_tables(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only flat index tables of one moduli tuple's group, computed once
-    per tuple: the (rank, |G[2]|) 0/1 activity matrix, entry (j, c) set iff
-    coordinate j of the c-th involutive label is nonzero; the ascending (so
-    lexicographic) indices of the involutive labels a = -a; and those of the
-    conjugate-pair representatives a < -a, the lexicographic minimum of each pair."""
-    group = FiniteAbelianGroup(moduli)
-    index = np.arange(group.order)
-    negated = group.indices(-group.labels)
-    invol = np.flatnonzero(negated == index)
-    reps = np.flatnonzero(index < negated)
-    activity = (group.labels[:, invol] != 0).astype(np.int64)
-    for table in (activity, invol, reps):
-        table.flags.writeable = False
-    return activity, invol, reps
-
-
-def _element_stack(sum_sets, rank: int) -> np.ndarray:
-    """sum_sets as a (K, m, rank) int64 array: a (K, m, rank) array as it is,
-    or K sequences of m reduced elements each.  Sequences of unequal sizes
-    raise ValueError."""
-    if not isinstance(sum_sets, np.ndarray) and len({len(s) for s in sum_sets}) > 1:
-        raise ValueError("sum sets of unequal sizes cannot share a stack")
-    k = len(sum_sets)
-    return np.asarray(sum_sets, dtype=np.int64).reshape(k, len(sum_sets[0]) if k else 0, rank)
-
-
 def _parity_sums(elements: np.ndarray, activity: np.ndarray) -> np.ndarray:
     """Exact chi_a(S) at every involutive label a, in lexicographic order, for
     each row S of a (K, m, rank) element array, as a (K, |G[2]|) array:
@@ -170,20 +142,22 @@ def sum_set_spectra(
 ) -> list[SpectrumPartition]:
     """Exact spectrum partitions of CayS(group, S_i) for K sum sets S_i of m
     reduced elements each, unchecked: a (K, m, rank) integer array, or K
-    sequences of m elements (sum sets of unequal sizes raise ValueError).
-    The partitions are the rows of _spectrum_rows; see there for the checks.
+    sequences of m elements.  Sum sets of unequal sizes and non-integer
+    coordinates raise ValueError.  The partitions are the rows of
+    _spectrum_rows; see there for the checks.
     """
-    rows = _spectrum_rows(group, sum_sets, semiedge_totals, names)
+    rows = _spectrum_rows(group, _element_stack(sum_sets, group.rank), semiedge_totals, names)
     return [SpectrumPartition(*row) for row in rows]
 
 
 def _spectrum_rows(
     group: FiniteAbelianGroup,
-    sum_sets: np.ndarray | Sequence[Sequence[Element]],
+    elements: np.ndarray,
     semiedge_totals: Sequence[int] | None = None,
     names: Sequence | None = None,
 ) -> list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[float, ...]]]:
-    """sum_set_spectra's partitions as plain (semiedge_total, unmatched_raw,
+    """sum_set_spectra's partitions, for a (K, m, rank) int64 stack of sum
+    sets as _element_stack gives it, as plain (semiedge_total, unmatched_raw,
     unmatched_canonical, paired) rows, the fields of SpectrumPartition.  A
     row's elements may come in any order, which parity sums, multiplicities
     and semiedge counts ignore: the fullerene sweep passes them in edge order.
@@ -197,9 +171,8 @@ def _spectrum_rows(
     coordinates unless supplied) must equal their sum.  A failed check names
     row i by names[i] when given, else by the moduli.
     """
-    elements = _element_stack(sum_sets, group.rank)
     k = len(elements)
-    activity, invol, reps = _moduli_tables(group.moduli)
+    activity, invol, reps, _, _ = _moduli_tables(group.moduli)
     raw = _parity_sums(elements, activity)
     chi = _character_dft(group, elements).reshape(k, group.order)
     real = chi[:, invol]
@@ -299,7 +272,7 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
     group = graph.group
     labels = group.labels
     elements = graph.sum_set.array[None]
-    activity, _, reps = _moduli_tables(group.moduli)
+    activity, _, reps, _, _ = _moduli_tables(group.moduli)
     chi_s = np.conj(_character_dft(group, elements).ravel()[reps])
     mag = np.abs(chi_s)
     alpha = np.exp(-0.5j * np.angle(chi_s))

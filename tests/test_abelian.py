@@ -100,6 +100,17 @@ def test_reduce_and_contains():
     assert not g.contains((0,))
 
 
+def test_reduce_rejects_non_integer_coordinates():
+    # floats used to be truncated by int(): (1.9, -0.5) reduced to (1, 0)
+    g = FiniteAbelianGroup((4, 6))
+    for bad in ((1.9, -0.5), (1.0, 2), (np.float64(1), 2), ("1", 2), (np.True_, 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            g.reduce(bad)
+    for given in ((np.int64(5), np.uint8(7)), (True, -5), np.array([5, 7])):
+        reduced = g.reduce(given)
+        assert reduced == (1, 1) and all(type(c) is int for c in reduced)
+
+
 def test_group_operations_consistent():
     rng = random.Random(RNG_SEED)
     for _ in range(50):

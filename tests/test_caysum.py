@@ -14,6 +14,7 @@ from cagespec.caysum import (
     cayley_sum_graph,
     graph_from_json,
     graph_to_json,
+    semiedge_count,
     sum_set_difference,
     total_semiedge_count,
     translate_sum_set,
@@ -72,6 +73,22 @@ def test_sum_set_rejects_foreign_elements():
         SumSet(g, ((0,),))
 
 
+def test_sum_set_stores_python_ints():
+    # bools and numpy integers convert, so a bool coordinate is written to
+    # JSON as 1 (not true) and the graph reads back
+    g = FiniteAbelianGroup((2, 3))
+    s = SumSet(g, ((0, 1), (1, 2)))
+    for given in (((0, True), (True, 2)), ((np.int64(0), np.uint8(1)), np.array([1, 2]))):
+        same = SumSet(g, given)
+        assert same == s and all(type(c) is int for x in same.elements for c in x)
+    payload = json.loads(json.dumps(graph_to_json(cayley_sum_graph(g, SumSet(g, ((0, True),))))))
+    assert payload["sum_set"] == [[0, 1]]
+    assert graph_from_json(payload).sum_set.elements == ((0, 1),)
+    for bad in (((0, 1.0),), ((0, np.float64(1)),), (("0", 1),)):
+        with pytest.raises(ValueError, match="must be integers"):
+            SumSet(g, bad)
+
+
 def test_adjacency_matches_all_pairs_oracle():
     rng = random.Random(RNG_SEED)
     for _ in range(40):
@@ -120,6 +137,18 @@ def test_semiedge_count_without_building_the_graph():
         for u in g.element_tuple:
             total += s.multiplicity(g.double(u))
         assert total_semiedge_count(g, s) == total
+
+
+def test_semiedge_count_rejects_non_integer_coordinates():
+    # a float coordinate used to be truncated: (0, 1.9) counted as (0, 1)
+    g = FiniteAbelianGroup((2, 4))
+    elements = [(0, 1.9), (1, 3), (0, 0)]
+    for given in (elements, np.array(elements)):
+        with pytest.raises(ValueError, match="must be integers"):
+            semiedge_count(g, given)
+    assert semiedge_count(g, np.array([(0, 2), (1, 3), (0, 0)], dtype=np.uint8)) == 8
+    assert semiedge_count(g, [(0, True), (1, 3), (False, 0)]) == 4
+    assert semiedge_count(g, []) == 0
 
 
 def test_no_loops_only_semiedges():

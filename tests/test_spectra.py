@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cagespec.abelian import FiniteAbelianGroup
+from cagespec.abelian import FiniteAbelianGroup, _moduli_tables
 from cagespec.caysum import SumSet, cayley_sum_graph
 from cagespec.fullerene import TriangleSpec, group_and_sumset
 from cagespec.spectra import (
@@ -15,7 +15,6 @@ from cagespec.spectra import (
     ConvergenceError,
     SpectrumPartition,
     _householder,
-    _moduli_tables,
     canonical_unmatched,
     character_spectrum,
     eigenvectors,
@@ -214,16 +213,33 @@ def test_moduli_tables_match_the_group_enumerations():
     drawn = [tuple(rng.randint(1, 8) for _ in range(rng.randint(0, 3))) for _ in range(60)]
     for moduli in [(), (1,), (2,), (7,), (1, 4, 1), (2, 2, 2), (3, 6, 5), *drawn]:
         g = FiniteAbelianGroup(moduli)
-        activity, invol, reps = _moduli_tables(g.moduli)
+        activity, invol, reps, even, n_even = _moduli_tables(g.moduli)
         involutive = g.involutive_elements()
         assert invol.tolist() == [g.index_of(a) for a in involutive]
         assert reps.tolist() == sorted(g.index_of(a) for a in g.conjugate_pair_reps())
         assert activity.shape == (g.rank, len(involutive))
         for j, row in enumerate(activity.tolist()):
             assert row == [int(a[j] != 0) for a in involutive]
-        for table in (activity, invol, reps):
+        assert even.tolist() == [int(n % 2 == 0) for n in g.moduli]
+        assert n_even == sum(n % 2 == 0 for n in g.moduli) and type(n_even) is int
+        for table in (activity, invol, reps, even):
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0
+
+
+def test_spectra_reject_non_integer_coordinates():
+    # a float coordinate used to be truncated: (0, 1.9) gave the spectrum of (0, 1)
+    g = FiniteAbelianGroup((2, 4))
+    rows = [[(0, 1.9), (1, 3), (0, 0)]]
+    for given in (rows, np.array(rows), [["0", "1"]]):
+        with pytest.raises(ValueError, match="must be integers"):
+            sum_set_spectra(g, given)
+    with pytest.raises(ValueError, match="must be integers"):
+        sum_set_spectrum(g, SumSet(g, rows[0]))
+    # integer dtypes other than int64, and bools, still convert
+    expected = sum_set_spectra(g, [[(0, 1), (1, 3), (0, 0)]])
+    assert sum_set_spectra(g, np.array([[(0, 1), (1, 3), (0, 0)]], dtype=np.uint8)) == expected
+    assert sum_set_spectra(g, [[(0, True), (True, 3), (0, False)]]) == expected
 
 
 def test_stacked_spectra_reject_sum_sets_of_unequal_sizes():
