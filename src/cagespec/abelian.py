@@ -161,26 +161,22 @@ class FiniteAbelianGroup:
 
 
 @lru_cache(maxsize=1024)
-def _moduli_tables(
-    moduli: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Read-only tables of one moduli tuple's group, computed once per tuple:
-    the (rank, |G[2]|) 0/1 activity matrix, entry (j, c) set iff coordinate j
-    of the c-th involutive label is nonzero; the ascending (so lexicographic)
-    indices of the involutive labels a = -a and of the pair representatives
-    a < -a; and the (rank,) 0/1 indicator of the even moduli and their number,
-    read off the moduli alone, not the labels: semiedge counts built on it
-    stay a second route to the parity sums built on the activity."""
+def _moduli_tables(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only character tables of one moduli tuple's group, computed once
+    per tuple: the (rank, |G[2]|) 0/1 activity matrix, entry (j, c) set iff
+    coordinate j of the c-th involutive label is nonzero, and the ascending
+    (so lexicographic) indices of the involutive labels a = -a and of the
+    pair representatives a < -a.  Each is O(order) to build; the semiedge
+    counts, which read only the moduli, do not use them."""
     group = FiniteAbelianGroup(moduli)
     index = np.arange(group.order)
     negated = group.indices(-group.labels)
     invol = np.flatnonzero(negated == index)
     reps = np.flatnonzero(index < negated)
     activity = (group.labels[:, invol] != 0).astype(np.int64)
-    even = np.array([n % 2 == 0 for n in group.moduli], dtype=np.int64)
-    for table in (activity, invol, reps, even):
+    for table in (activity, invol, reps):
         table.flags.writeable = False
-    return activity, invol, reps, even, int(even.sum())
+    return activity, invol, reps
 
 
 @dataclass(frozen=True)

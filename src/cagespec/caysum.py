@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .abelian import Element, FiniteAbelianGroup, _moduli_tables
+from .abelian import Element, FiniteAbelianGroup
 from .intlinalg import _int_tuple
 
 __all__ = [
@@ -184,10 +184,11 @@ def semiedge_counts(group: FiniteAbelianGroup, elements: np.ndarray) -> np.ndarr
     of 2u = g.  Solution counts factor over the coordinates (an odd modulus
     always has exactly one, an even modulus has two when the coordinate is
     even and none otherwise), so no graph is built: only the parities of the
-    even-modulus coordinates are read.
+    even-modulus coordinates are read, with the mask of even moduli taken
+    from group.moduli alone, so no O(order) table is built.
     """
-    _, _, _, even, n_even = _moduli_tables(group.moduli)
-    return ((elements & 1) @ even == 0).sum(axis=1) << n_even
+    even = [n % 2 == 0 for n in group.moduli]
+    return ((elements & 1) @ np.array(even, dtype=np.int64) == 0).sum(axis=1) << sum(even)
 
 
 def _element_stack(sum_sets, rank: int) -> np.ndarray:

@@ -172,7 +172,7 @@ def _spectrum_rows(
     row i by names[i] when given, else by the moduli.
     """
     k = len(elements)
-    activity, invol, reps, _, _ = _moduli_tables(group.moduli)
+    activity, invol, reps = _moduli_tables(group.moduli)
     raw = _parity_sums(elements, activity)
     chi = _character_dft(group, elements).reshape(k, group.order)
     real = chi[:, invol]
@@ -272,7 +272,7 @@ def eigenvectors(graph: CaySumGraph) -> list[EigenPair]:
     group = graph.group
     labels = group.labels
     elements = graph.sum_set.array[None]
-    activity, _, reps, _, _ = _moduli_tables(group.moduli)
+    activity, _, reps = _moduli_tables(group.moduli)
     chi_s = np.conj(_character_dft(group, elements).ravel()[reps])
     mag = np.abs(chi_s)
     alpha = np.exp(-0.5j * np.angle(chi_s))

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cagespec.abelian import FiniteAbelianGroup
+from cagespec.abelian import FiniteAbelianGroup, _moduli_tables
 from cagespec.caysum import (
     CaySumGraph,
     SumSet,
@@ -137,6 +137,14 @@ def test_semiedge_count_without_building_the_graph():
         for u in g.element_tuple:
             total += s.multiplicity(g.double(u))
         assert total_semiedge_count(g, s) == total
+
+
+def test_semiedge_count_reads_only_the_moduli():
+    # the count needs the even moduli alone: on a group of order 10^6 it
+    # builds none of the O(order) character tables
+    misses = _moduli_tables.cache_info().misses
+    assert semiedge_count(FiniteAbelianGroup((1000, 1000)), [(0, 2), (1, 3), (0, 0)]) == 8
+    assert _moduli_tables.cache_info().misses == misses
 
 
 def test_semiedge_count_rejects_non_integer_coordinates():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import pickle
 import random
@@ -248,13 +249,23 @@ BEYOND_INT64_SPECS = [
 
 def test_face_census_counts_the_even_symmetry_points():
     skew = [TriangleSpec(*pqrs, p1, p2) for pqrs in SKEW_BASES for p1, p2 in TRANSLATIONS]
-    for t in [*enumerate_specs(40), *skew, *BEYOND_INT64_SPECS]:
+    # face_census reads only the parities of the six entries, and these 64
+    # specs (det >= 3, never degenerate) hold every parity class, q odd too
+    classes = [
+        TriangleSpec(p + 2, q, r, s + 2, p1, p2)
+        for p, q, r, s, p1, p2 in itertools.product((0, 1), repeat=6)
+    ]
+    for t in [*enumerate_specs(40), *skew, *BEYOND_INT64_SPECS, *classes]:
         p, q, r, s, p1, p2 = t.as_tuple()
         points = ((p1, p2), (p1 + p, p2 + q), (p1 + r, p2 + s), (p1 + p + r, p2 + q + s))
         f3 = sum(1 for x, y in points if x % 2 == 0 and y % 2 == 0)
         census = face_census(t)
         assert census == (f3, (t.index - f3) // 2, 4 - f3)
         assert all(type(v) is int for v in census)
+        # f3 = 3 never occurs and |V| - f3 is even: f6 is whole, s a case key
+        assert f3 in (0, 1, 2, 4)
+        assert (t.index - f3) % 2 == 0
+        assert 4 - f3 in CASE_TABLE
 
 
 def test_counting_invariants_sweep():
@@ -512,7 +523,48 @@ def corrupt_fold_member(monkeypatch, target: TriangleSpec) -> str:
     return "fold does not match"
 
 
-@pytest.mark.parametrize("corrupt", [corrupt_dft_row, corrupt_semiedge_row, corrupt_fold_member])
+def corrupt_face_census(monkeypatch, target: TriangleSpec) -> str:
+    """Count one triangle too many and one semiedge too few in the target's
+    face census; returns the failed check."""
+    census = fullerene.face_census
+
+    def corrupted(t):
+        counts = census(t)
+        if t == target:
+            return counts._replace(f3=counts.f3 + 1, semiedges=counts.semiedges - 1)
+        return counts
+
+    monkeypatch.setattr(fullerene, "face_census", corrupted)
+    return "s + f3 = 4 check failed"
+
+
+def corrupt_canonical_row(monkeypatch, target: TriangleSpec) -> str:
+    """Append a 0 to the canonical unmatched multiset of the target's row of
+    every spectrum stack, found by its name; returns the failed check."""
+    spectrum_rows = fullerene._spectrum_rows
+
+    def corrupted(group, elements, semiedge_totals=None, names=None):
+        rows = spectrum_rows(group, elements, semiedge_totals, names)
+        for i, name in enumerate(names or ()):
+            if name == target:
+                total, raw, canonical, paired = rows[i]
+                rows[i] = (total, raw, (*canonical, 0), paired)
+        return rows
+
+    monkeypatch.setattr(fullerene, "_spectrum_rows", corrupted)
+    return "canonical unmatched multiset"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        corrupt_dft_row,
+        corrupt_semiedge_row,
+        corrupt_fold_member,
+        corrupt_face_census,
+        corrupt_canonical_row,
+    ],
+)
 def test_a_failed_check_names_its_own_spec(corrupt, monkeypatch, capsys):
     check = corrupt(monkeypatch, ATTRIBUTION_TARGET)
     with pytest.raises(InvariantViolation) as failure:
@@ -531,6 +583,25 @@ def test_a_failed_check_names_its_own_spec(corrupt, monkeypatch, capsys):
     assert out == ""
     assert str(target.as_tuple()) in err
     assert check in err
+
+
+def test_a_wrong_quotient_names_a_spec_of_its_lattice(monkeypatch):
+    # the quotient of (4, 0, 2, 2) is swapped for that of (4, 0, 2, 4), whose
+    # order 16 is not the index 8; the other lattice's group is unchanged
+    lattice_quotient = fullerene._lattice_quotient
+    wrong = ATTRIBUTION_TARGET.as_tuple()[:4]
+
+    def corrupted(p, q, r, s):
+        return lattice_quotient(p, q, r, 2 * s if (p, q, r, s) == wrong else s)
+
+    monkeypatch.setattr(fullerene, "_lattice_quotient", corrupted)
+    with pytest.raises(InvariantViolation) as failure:
+        verify_chunk(ATTRIBUTION_CHUNK)
+    message = str(failure.value)
+    assert "group order 16 != lattice index 8" in message
+    named = [t for t in ATTRIBUTION_CHUNK if str(t.as_tuple()) in message]
+    assert len(named) == 1 and named[0].as_tuple()[:4] == wrong
+    assert verify_chunk([t for t in ATTRIBUTION_CHUNK if t.as_tuple()[:4] != wrong])
 
 
 # --- basis normalization -----------------------------------------------------
