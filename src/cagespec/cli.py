@@ -5,8 +5,8 @@ other: `--format` with the formats the subcommand renders (JSON by default, CSV
 for `census`), `--tolerance` on `spectrum`, `--jobs` on `census` and `verify`.
 The sweeps hand chunks of specs to the chunk routine behind
 fullerene.classify_chunk and verify_chunk, a bounded window of chunks at a
-time under --jobs, and take back plain rows of report fields: they count and
-key the rows, and build a FullereneReport only for a row they print.
+time under --jobs (at most one worker per CPU), and take back its
+FullereneReports: they count and key them, and print the ones census emits.
 Exit code 0 means success, 2 a usage or parse problem (a group order above
 MAX_ORDER, or SPECTRUM_MAX_ORDER for `spectrum`, included), 3 a computation or
 invariant failure.
@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=None,  # a sweep reads CAGESPEC_JOBS, so an error can name it
-        help="worker processes for the sweep (default: $CAGESPEC_JOBS or 1)",
+        help="worker processes for the sweep, at most one per CPU (default: $CAGESPEC_JOBS or 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -280,11 +280,13 @@ def _compact(values) -> str:
 
 def _sweep(chunk_fn: Callable, max_index: int, jobs: int) -> Iterator:
     """chunk_fn's results, in order, over enumerate_specs(max_index) cut into
-    lists of _CHUNK specs.  When jobs > 1 the chunks run in jobs worker
-    processes, at most 2 * jobs of them submitted ahead of the result
-    yielded, so the sweep draws its specs as it goes."""
+    lists of _CHUNK specs.  jobs is capped at os.cpu_count(); when that
+    leaves more than 1 the chunks run in jobs worker processes, at most
+    2 * jobs of them submitted ahead of the result yielded, so the sweep
+    draws its specs as it goes."""
     specs = enumerate_specs(max_index)
     chunks = iter(lambda: list(islice(specs, _CHUNK)), [])
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:
         yield from map(chunk_fn, chunks)
         return
@@ -297,23 +299,23 @@ def _sweep(chunk_fn: Callable, max_index: int, jobs: int) -> Iterator:
 
 
 def _verify_chunk(specs: list[TriangleSpec]) -> Counter:
-    """The cases of verify_chunk's reports, counted on its rows."""
-    return Counter(row.case for row in _check_chunk(specs, fold=True))
+    """The cases of verify_chunk's reports."""
+    return Counter(report.case for report in _check_chunk(specs, fold=True))
 
 
 def _census_chunk(specs: list[TriangleSpec], dedup: bool) -> tuple[Counter, list, list | None]:
-    """The cases of classify_chunk's reports, counted on its rows, and the
-    rows census may print, with their --dedup keys when dedup (else None).
-    Under dedup these are only the first row of each class in the chunk, as
-    later ones can never print.  Module-level, so that worker processes run
-    it and send back only those rows and keys."""
-    rows = _check_chunk(specs, fold=False)
-    cases = Counter(row.case for row in rows)
+    """The cases of classify_chunk's reports, and the reports census may
+    print, with their --dedup keys when dedup (else None).  Under dedup these
+    are only the first report of each class in the chunk, as later ones can
+    never print.  Module-level, so that worker processes run it and send back
+    only those reports and keys."""
+    reports = _check_chunk(specs, fold=False)
+    cases = Counter(report.case for report in reports)
     if not dedup:
-        return cases, rows, None
+        return cases, reports, None
     firsts: dict = {}
-    for row, key in zip(rows, _dedup_keys(rows)):
-        firsts.setdefault(key, row)
+    for report, key in zip(reports, _dedup_keys(reports)):
+        firsts.setdefault(key, report)
     return cases, list(firsts.values()), list(firsts)
 
 
@@ -393,11 +395,12 @@ def _cmd_spectrum(args) -> int:
     return 0 if ok else 3
 
 
-def _dedup_keys(reports: Sequence) -> list[tuple]:
-    """The --dedup class of each report, or of each row of report fields,
-    the only key entry (a chunk at a time): order, semiedges, moduli and the
-    full spectrum rounded to 9 decimals, held exactly as the sorted integers
-    10^9 v.  The reports whose spectra have equal shapes (as many real
+def _dedup_keys(reports: Sequence[FullereneReport]) -> list[tuple]:
+    """The --dedup class of each report, the only key entry (a chunk at a
+    time): order, semiedges, moduli and the full spectrum rounded to 9
+    decimals, held exactly as the bytes of the sorted int64 integers 10^9 v.
+    The order fixes the spectrum's length, so equal bytes mean equal
+    spectra.  The reports whose spectra have equal shapes (as many real
     values, as many paired magnitudes) are rounded and sorted as one array.
 
     round(v, 9) is monotone and odd, so the rounded spectrum is the raw
@@ -421,9 +424,9 @@ def _dedup_keys(reports: Sequence) -> list[tuple]:
             m[r, c] = round(round(float(paired[r, c]), 9) * 1e9)
         m = m.astype(np.int64)
         values = np.sort(np.concatenate((raw * 1_000_000_000, m, -m), axis=1), axis=1)
-        for i, spectrum in zip(rows, values.tolist()):
+        for i, spectrum in zip(rows, values):
             report = reports[i]
-            keys[i] = (report.n_vertices, report.semiedge_total, report.moduli, tuple(spectrum))
+            keys[i] = (report.n_vertices, report.semiedge_total, report.moduli, spectrum.tobytes())
     return keys
 
 
@@ -459,18 +462,17 @@ def _cmd_census(args) -> int:
     seen: set = set()
     emitted = 0
     chunk_fn = partial(_census_chunk, dedup=args.dedup)
-    for chunk_cases, rows, keys in _sweep(chunk_fn, args.max_index, jobs):
+    for chunk_cases, reports, keys in _sweep(chunk_fn, args.max_index, jobs):
         cases.update(chunk_cases)
         if keys is not None:
             unseen = []
-            for row, key in zip(rows, keys):
+            for report, key in zip(reports, keys):
                 if key not in seen:
                     seen.add(key)
-                    unseen.append(row)
-            rows = unseen
-        emitted += len(rows)
-        for row in rows:
-            report = FullereneReport(*row)
+                    unseen.append(report)
+            reports = unseen
+        emitted += len(reports)
+        for report in reports:
             if writer is not None:
                 writer.writerow(_census_csv_cells(report))
             elif args.format == "json":

@@ -13,15 +13,15 @@ single-spec calls by a small memo of the most recent lattices.  A chunk's sum
 sets over one group are built once, as one stack in edge order that feeds the
 spectrum and the fold check, and sorted only for the reports.  The fold check
 compares every incidence of the folded graph with its own sum-set element.
-The chunk routine gives each spec's checked report fields as a plain row;
-classify_chunk and verify_chunk wrap each row as a FullereneReport, and the
-CLI sweeps count and key the rows and build reports only for printed rows.
+The chunk routine builds each spec's FullereneReport, a NamedTuple, straight
+from its checked fields: classify_chunk and verify_chunk return those reports,
+and the CLI sweeps count, key and print them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -31,16 +31,16 @@ from .abelian import quotient_group
 from .caysum import SumSet, _NeighbourGraph, _element_stack
 
 # total_semiedge_count, sum_set_spectrum and spectrum_is_paired are not called
-# by the pipeline; they stay importable from this module because perfbench's
-# trace table looks each layer up by module and name, and its self-tests
-# require every hook target to resolve.
+# by the pipeline, which calls sum_set_spectra; they stay importable from this
+# module because perfbench's trace table looks each layer up by module and
+# name, and its self-tests require every hook target to resolve.
 from .caysum import total_semiedge_count  # noqa: F401
 from .intlinalg import IntMatrix, _int_tuple
 from .spectra import (  # noqa: F401
     InvariantViolation,
     SpectrumPartition,
-    _spectrum_rows,
     spectrum_is_paired,
+    sum_set_spectra,
     sum_set_spectrum,
 )
 
@@ -323,10 +323,17 @@ def _fold_matches(
     return _label_sums_match(q, _fold_neighbours(specs), edges)
 
 
-@dataclass(frozen=True)
-class FullereneReport(SpectrumPartition):
-    """A spec's spectrum partition plus its group, sum set and face counts."""
+class FullereneReport(NamedTuple):
+    """A spec's spectrum partition plus its group, sum set and face counts.
 
+    A NamedTuple cannot extend another's fields, so the first four fields
+    repeat SpectrumPartition's, in its order, and full is its method.
+    """
+
+    semiedge_total: int
+    unmatched_raw: tuple[int, ...]
+    unmatched_canonical: tuple[int, ...]
+    paired: tuple[float, ...]
     spec: TriangleSpec
     moduli: tuple[int, ...]
     sum_set: tuple[Element, ...]
@@ -336,7 +343,7 @@ class FullereneReport(SpectrumPartition):
     case: str
     spectral_radius: float
 
-    full_spectrum = SpectrumPartition.full
+    full = full_spectrum = SpectrumPartition.full
 
     @property
     def semiedges(self) -> int:
@@ -360,17 +367,12 @@ class FullereneReport(SpectrumPartition):
         }
 
 
-# A checked spec's FullereneReport fields, in order, as a plain row: the sweeps
-# count and key rows, and build a report only for a row they hand out.
-_ReportRow = NamedTuple("_ReportRow", [(f.name, f.type) for f in fields(FullereneReport)])
-
-
 def _report_row(
-    t: TriangleSpec, group: FiniteAbelianGroup, elements: list[Element], spectrum: tuple
-) -> _ReportRow:
-    """Check t's counting and spectral invariants and give its report's row;
+    t: TriangleSpec, group: FiniteAbelianGroup, elements: list[Element], spectrum: SpectrumPartition
+) -> FullereneReport:
+    """Check t's counting and spectral invariants and give its report;
     elements is its sum set in edge order, sorted only for the sum_set field,
-    and spectrum its row of _spectrum_rows, the fields of a SpectrumPartition."""
+    and spectrum its partition from sum_set_spectra."""
     trace, raw, canonical, paired = spectrum
     census = face_census(t)
     n = group.order
@@ -389,22 +391,22 @@ def _report_row(
         )
     # raw and paired are descending, so their ends hold the largest magnitudes
     radius = max(raw[0], -raw[-1], paired[0] if paired else 0.0)
-    return _ReportRow(
+    return FullereneReport(
         trace, raw, canonical, paired, t, group.moduli, tuple(sorted(elements)),
         n, census.f3, census.f6, case, float(radius),
     )
 
 
-def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[_ReportRow]:
-    """The rows of classify_chunk's reports, plus the fold check of
-    verify_chunk when fold.
+def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[FullereneReport]:
+    """classify_chunk's reports, plus the fold check of verify_chunk when
+    fold.
 
     Specs sharing a lattice (p, q, r, s) share its quotient (from the memo
     _lattice_quotient); specs whose quotients are equal groups share one
-    (k, 3, rank) stack of their sum sets in edge order, built once.  The whole
-    stack feeds one spectrum DFT (the spectrum does not depend on element
-    order), and each lattice's slice of it one stacked fold check.  Every
-    check still runs on each spec's own sum set.
+    (k, 3, rank) int64 stack of their sum sets in edge order, built once.  The
+    whole stack feeds one sum_set_spectra call (the spectrum does not depend
+    on element order), and each lattice's slice of it one stacked fold check.
+    Every check still runs on each spec's own sum set.
     """
     by_lattice: dict[tuple[int, int, int, int], list[int]] = {}
     for i, t in enumerate(specs):
@@ -423,8 +425,8 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[_ReportRow]:
             _sum_set_elements(q, specs[i]) for q, lattice_rows in lattices for i in lattice_rows
         ]
         edges = _element_stack(sum_sets, group.rank)
-        spectrum_rows = _spectrum_rows(group, edges, names=[specs[i] for i in rows])
-        for i, sum_set, spectrum in zip(rows, sum_sets, spectrum_rows):
+        parts = sum_set_spectra(group, edges, names=[specs[i] for i in rows])
+        for i, sum_set, spectrum in zip(rows, sum_sets, parts):
             checked[i] = _report_row(specs[i], group, sum_set, spectrum)
         if not fold:
             continue
@@ -445,17 +447,16 @@ def _check_chunk(specs: Sequence[TriangleSpec], fold: bool) -> list[_ReportRow]:
 def classify_chunk(specs: Sequence[TriangleSpec]) -> list[FullereneReport]:
     """classify() of each spec, in order.  The group, sum set and spectrum are
     derived, the counting and spectral invariants checked, and each spec
-    reported; quotients are shared per lattice and spectrum DFTs per group.
-    Each report wraps its row of _check_chunk."""
-    return [FullereneReport(*row) for row in _check_chunk(specs, fold=False)]
+    reported; quotients are shared per lattice and spectrum DFTs per group."""
+    return _check_chunk(specs, fold=False)
 
 
 def verify_chunk(specs: Sequence[TriangleSpec]) -> list[FullereneReport]:
     """verify_spec() of each spec, in order: classify_chunk plus the geometric
     cross-check, one stacked fold check per lattice.  The folded
     triangulation must be isomorphic (via the quotient labelling) to the
-    Cayley sum graph.  Each report wraps its row of _check_chunk."""
-    return [FullereneReport(*row) for row in _check_chunk(specs, fold=True)]
+    Cayley sum graph."""
+    return _check_chunk(specs, fold=True)
 
 
 def classify(t: TriangleSpec) -> FullereneReport:

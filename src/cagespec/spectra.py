@@ -14,9 +14,9 @@ DFT of S's multiplicity array, so all paired magnitudes come from one DFT,
 shared by a whole stack of sum sets over one group and read at the flat
 indices of the group's tables (abelian._moduli_tables): a = -a marks the
 involutive labels, whose exact parity sums the DFT values must match, and
-a < -a the conjugate-pair representatives.  That one routine yields plain
-rows of SpectrumPartition's fields: sum_set_spectra wraps them into
-partitions, and the fullerene sweep passes them straight into its reports.
+a < -a the conjugate-pair representatives.  That one routine,
+sum_set_spectra, gives each row's SpectrumPartition, a NamedTuple, and the
+fullerene sweep reads those partitions straight into its reports.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,15 +57,15 @@ class ConvergenceError(RuntimeError):
     """Raised when the multisection pass budget is exhausted before convergence."""
 
 
-@dataclass(frozen=True)
-class SpectrumPartition:
+class SpectrumPartition(NamedTuple):
     """Spectrum split into the unmatched multiset and the paired (+-) part.
 
     unmatched_raw holds the exact integer eigenvalues coming from real
     characters; unmatched_canonical is the same multiset after cancelling
     complete {lambda, -lambda} pairs into the paired part.  paired holds one
     nonnegative magnitude per conjugate character pair; each contributes the
-    eigenvalue pair +-magnitude.
+    eigenvalue pair +-magnitude.  A NamedTuple, so sum_set_spectra builds
+    each row as the public record; _replace gives a modified copy.
     """
 
     semiedge_total: int
@@ -143,24 +143,9 @@ def sum_set_spectra(
     """Exact spectrum partitions of CayS(group, S_i) for K sum sets S_i of m
     reduced elements each, unchecked: a (K, m, rank) integer array, or K
     sequences of m elements.  Sum sets of unequal sizes and non-integer
-    coordinates raise ValueError.  The partitions are the rows of
-    _spectrum_rows; see there for the checks.
-    """
-    rows = _spectrum_rows(group, _element_stack(sum_sets, group.rank), semiedge_totals, names)
-    return [SpectrumPartition(*row) for row in rows]
-
-
-def _spectrum_rows(
-    group: FiniteAbelianGroup,
-    elements: np.ndarray,
-    semiedge_totals: Sequence[int] | None = None,
-    names: Sequence | None = None,
-) -> list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[float, ...]]]:
-    """sum_set_spectra's partitions, for a (K, m, rank) int64 stack of sum
-    sets as _element_stack gives it, as plain (semiedge_total, unmatched_raw,
-    unmatched_canonical, paired) rows, the fields of SpectrumPartition.  A
-    row's elements may come in any order, which parity sums, multiplicities
-    and semiedge counts ignore: the fullerene sweep passes them in edge order.
+    coordinates raise ValueError.  A row's elements may come in any order,
+    which parity sums, multiplicities and semiedge counts ignore: the
+    fullerene sweep passes its int64 stack in edge order.
 
     Real (involutive) characters contribute chi(S) as exact integers from
     parity sums; each conjugate character pair contributes the magnitude
@@ -171,6 +156,7 @@ def _spectrum_rows(
     coordinates unless supplied) must equal their sum.  A failed check names
     row i by names[i] when given, else by the moduli.
     """
+    elements = _element_stack(sum_sets, group.rank)
     k = len(elements)
     activity, invol, reps = _moduli_tables(group.moduli)
     raw = _parity_sums(elements, activity)
@@ -187,15 +173,15 @@ def _spectrum_rows(
 
     if semiedge_totals is None:
         semiedge_totals = semiedge_counts(group, elements).tolist()
-    rows = []
+    parts = []
     for i, (values, total, pair) in enumerate(zip(raw.tolist(), semiedge_totals, paired)):
         if sum(values) != total:
             raise InvariantViolation(
                 f"trace identity violated: sum of real character values {sum(values)} "
                 f"!= semiedge total {total} for {_row_name(group, names, i)}"
             )
-        rows.append((total, *_sorted_and_canonical(tuple(values)), tuple(pair)))
-    return rows
+        parts.append(SpectrumPartition(total, *_sorted_and_canonical(tuple(values)), tuple(pair)))
+    return parts
 
 
 @lru_cache(maxsize=1024)

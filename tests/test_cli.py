@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -11,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +459,40 @@ def test_census_jobs_env_fallback(capsys, monkeypatch):
     assert via_env == serial
 
 
+def test_sweep_workers_are_capped_at_the_cpu_count(capsys, monkeypatch):
+    workers = []
+
+    class InlinePool:
+        """Records max_workers and runs each job at submit; starts no process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    code, serial, _ = run_cli(["census", "--max-index", "1", "--jobs", "1"], capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, capped, _ = run_cli(["census", "--max-index", "1", "--jobs", "100000"], capsys)
+    assert (code, capped, workers) == (0, serial, [2])
+    monkeypatch.setenv("CAGESPEC_JOBS", "100000")
+    code, capped, _ = run_cli(["census", "--max-index", "1"], capsys)
+    assert (code, capped, workers) == (0, serial, [2, 2])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+    code, capped, _ = run_cli(["census", "--max-index", "1"], capsys)
+    assert (code, capped, workers) == (0, serial, [2, 2])
+
+
 def test_census_dedup_bytes_to_index_sixty(capsys):
     code, out, err = run_cli(["census", "--max-index", "60", "--dedup", "--jobs", "1"], capsys)
     assert code == 0
@@ -496,9 +530,10 @@ def assert_same_classes(reports) -> None:
     assert len(set(rounded)) == len(set(exact)) == len(set(zip(rounded, exact)))
     for old, new in zip(rounded, exact):
         assert new[:3] == old[:3]
-        assert all(type(v) is int for v in new[3])
+        spectrum = np.frombuffer(new[3], np.int64).tolist()
+        assert all(type(v) is int for v in spectrum)
         # 10^9 times each rounded value, exactly
-        assert list(new[3]) == sorted(round(v * 1e9) for v in old[3])
+        assert spectrum == sorted(round(v * 1e9) for v in old[3])
 
 
 def test_dedup_key_keeps_the_rounded_classes():
@@ -529,7 +564,7 @@ def test_dedup_key_at_nine_digit_half_way_points():
     assert fallback.count(True) == 600
     assert any(round(x) != round(round(p, 9) * 1e9) for p, x in zip(magnitudes, scaled))
     reports = [
-        dataclasses.replace(base, paired=tuple(sorted((p, *base.paired[1:]), reverse=True)))
+        base._replace(paired=tuple(sorted((p, *base.paired[1:]), reverse=True)))
         for p in magnitudes
     ]
     assert_same_classes(reports)

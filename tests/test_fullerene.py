@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import pickle
@@ -19,6 +18,7 @@ from cagespec.cli import main
 from cagespec.fullerene import (
     CASE_TABLE,
     FoldedGraph,
+    FullereneReport,
     InvariantViolation,
     TriangleSpec,
     _fold_matches,
@@ -422,23 +422,30 @@ def test_single_spec_calls_through_the_memo_equal_the_chunk_path():
 
 
 def test_a_report_is_its_spectrum_partition():
+    # a report's first fields are its partition's, in the partition's order
+    assert FullereneReport._fields[:4] == SpectrumPartition._fields
     specs = list(enumerate_specs(12))
     for report in [*classify_chunk(specs), *verify_chunk(specs)]:
-        assert isinstance(report, SpectrumPartition)
+        part = SpectrumPartition(*report[:4])
         assert report.semiedges == report.semiedge_total == 4 - report.f3
-        assert report.full_spectrum() == report.full()
-        copy = pickle.loads(pickle.dumps(report))
-        assert copy == report
-        assert copy.semiedges == report.semiedges
+        assert report.full_spectrum() == report.full() == part.full()
+        for record in (report, part):
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and type(copy) is type(record)
+            assert hash(copy) == hash(record)
+            with pytest.raises(AttributeError):
+                record.paired = ()
+        assert pickle.loads(pickle.dumps(report)).semiedges == report.semiedges
         assert list(report.to_json()) == REPORT_KEYS
-        flat = dataclasses.replace(report, paired=(0.0,) * len(report.paired))
+        flat = report._replace(paired=(0.0,) * len(report.paired))
         assert flat.paired == (0.0,) * len(report.paired)
         assert (flat.spec, flat.semiedges) == (report.spec, report.semiedges)
 
 
 def test_reports_carry_what_the_public_spectrum_routine_gives():
-    # the pipeline reads the spectrum rows that sum_set_spectrum wraps into
-    # partitions, so both must agree on every report, floats included
+    # the pipeline reads the partitions of sum_set_spectra, which
+    # sum_set_spectrum gives for one sum set, so both must agree on every
+    # report, floats included
     specs = [*enumerate_specs(30), *extra_fold_specs()]
     for check in (classify_chunk, verify_chunk):
         for i in range(0, len(specs), 256):
@@ -451,7 +458,7 @@ def test_reports_carry_what_the_public_spectrum_routine_gives():
                     report.unmatched_canonical,
                     report.paired,
                 )
-                assert fields == dataclasses.astuple(part)
+                assert fields == tuple(part)
                 assert type(part) is SpectrumPartition
 
 
@@ -541,17 +548,16 @@ def corrupt_face_census(monkeypatch, target: TriangleSpec) -> str:
 def corrupt_canonical_row(monkeypatch, target: TriangleSpec) -> str:
     """Append a 0 to the canonical unmatched multiset of the target's row of
     every spectrum stack, found by its name; returns the failed check."""
-    spectrum_rows = fullerene._spectrum_rows
+    spectra_of = fullerene.sum_set_spectra
 
     def corrupted(group, elements, semiedge_totals=None, names=None):
-        rows = spectrum_rows(group, elements, semiedge_totals, names)
+        parts = spectra_of(group, elements, semiedge_totals, names)
         for i, name in enumerate(names or ()):
             if name == target:
-                total, raw, canonical, paired = rows[i]
-                rows[i] = (total, raw, (*canonical, 0), paired)
-        return rows
+                parts[i] = parts[i]._replace(unmatched_canonical=(*parts[i].unmatched_canonical, 0))
+        return parts
 
-    monkeypatch.setattr(fullerene, "_spectrum_rows", corrupted)
+    monkeypatch.setattr(fullerene, "sum_set_spectra", corrupted)
     return "canonical unmatched multiset"
 
 
