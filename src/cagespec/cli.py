@@ -3,10 +3,10 @@
 Each subcommand declares only the options it reads, so argparse rejects any
 other: `--format` with the formats the subcommand renders (JSON by default, CSV
 for `census`), `--tolerance` on `spectrum`, `--jobs` on `census` and `verify`.
-The sweeps hand chunks of specs to the chunk routine behind
-fullerene.classify_chunk and verify_chunk, a bounded window of chunks at a
-time under --jobs (at most one worker per CPU), and take back its
-FullereneReports: they count and key them, and print the ones census emits.
+The sweeps hand chunks of specs to fullerene.classify_chunk or verify_chunk,
+a bounded window of chunks at a time under --jobs (at most one worker per
+CPU), and take back FullereneReports: they count and key them, and print the
+ones census emits.
 Exit code 0 means success, 2 a usage or parse problem (a group order above
 MAX_ORDER, or SPECTRUM_MAX_ORDER for `spectrum`, included), 3 a computation or
 invariant failure.
@@ -36,10 +36,11 @@ from .fullerene import (
     FullereneReport,
     InvariantViolation,
     TriangleSpec,
-    _check_chunk,
+    classify_chunk,
     enumerate_specs,
     fold_construction,
     group_and_sumset,
+    verify_chunk,
     verify_isomorphism,
     verify_spec,
 )
@@ -300,7 +301,7 @@ def _sweep(chunk_fn: Callable, max_index: int, jobs: int) -> Iterator:
 
 def _verify_chunk(specs: list[TriangleSpec]) -> Counter:
     """The cases of verify_chunk's reports."""
-    return Counter(report.case for report in _check_chunk(specs, fold=True))
+    return Counter(report.case for report in verify_chunk(specs))
 
 
 def _census_chunk(specs: list[TriangleSpec], dedup: bool) -> tuple[Counter, list, list | None]:
@@ -309,7 +310,7 @@ def _census_chunk(specs: list[TriangleSpec], dedup: bool) -> tuple[Counter, list
     are only the first report of each class in the chunk, as later ones can
     never print.  Module-level, so that worker processes run it and send back
     only those reports and keys."""
-    reports = _check_chunk(specs, fold=False)
+    reports = classify_chunk(specs)
     cases = Counter(report.case for report in reports)
     if not dedup:
         return cases, reports, None
@@ -396,37 +397,35 @@ def _cmd_spectrum(args) -> int:
 
 
 def _dedup_keys(reports: Sequence[FullereneReport]) -> list[tuple]:
-    """The --dedup class of each report, the only key entry (a chunk at a
-    time): order, semiedges, moduli and the full spectrum rounded to 9
-    decimals, held exactly as the bytes of the sorted int64 integers 10^9 v.
-    The order fixes the spectrum's length, so equal bytes mean equal
-    spectra.  The reports whose spectra have equal shapes (as many real
-    values, as many paired magnitudes) are rounded and sorted as one array.
+    """The --dedup class of each of classify_chunk's reports, the only key
+    entry (a chunk at a time): moduli, semiedge total s, and the bytes of the
+    int64 integers 10^9 round(p, 9) for the paired magnitudes p, descending
+    as given (rounding keeps the order), one array per row length.  This is
+    the class of the spectrum rounded to 9 decimals: the sum set is x0 +
+    {0, e1, e2} with e1, e2 generating the group, so only the trivial
+    character reaches |chi(S)| = 3, and the real values are one 3 and else
+    +-1, one per involutive label (fixed by the moduli), summing to s (the
+    trace identity).  So the moduli and s fix the unmatched part.
 
-    round(v, 9) is monotone and odd, so the rounded spectrum is the raw
-    integers with +-round(p, 9) for each paired magnitude p, and round(p, 9)
-    is the double nearest m / 10^9 for the integer m nearest p 10^9.  The
-    product p * 1e9 is off by under 1e-6 for |p| < 9 (a cubic graph has
+    round(p, 9) is the double nearest m / 10^9 for the integer m nearest
+    p 10^9.  p * 1e9 is off by under 1e-6 for |p| < 9 (a cubic graph has
     |p| <= 3), so rounding it (half to even, as round does) gives m unless it
     lies that close to a half-integer; there m is read off round(p, 9) itself.
     """
-    by_shape: dict[tuple[int, int], list[int]] = {}
+    by_length: dict[int, list[int]] = {}
     for i, report in enumerate(reports):
-        by_shape.setdefault((len(report.unmatched_raw), len(report.paired)), []).append(i)
+        by_length.setdefault(len(report.paired), []).append(i)
     keys: list = [None] * len(reports)
-    for rows in by_shape.values():
-        raw = np.array([reports[i].unmatched_raw for i in rows], dtype=np.int64)
+    for rows in by_length.values():
         paired = np.array([reports[i].paired for i in rows], dtype=float)
         x = paired * 1e9
         m = np.rint(x)
         for r, c in zip(*np.nonzero(np.abs(x - m) > 0.5 - 1e-6)):
             # float() so that round is Python's correctly rounded one
             m[r, c] = round(round(float(paired[r, c]), 9) * 1e9)
-        m = m.astype(np.int64)
-        values = np.sort(np.concatenate((raw * 1_000_000_000, m, -m), axis=1), axis=1)
-        for i, spectrum in zip(rows, values):
+        for i, row in zip(rows, m.astype(np.int64)):
             report = reports[i]
-            keys[i] = (report.n_vertices, report.semiedge_total, report.moduli, spectrum.tobytes())
+            keys[i] = (report.moduli, report.semiedge_total, row.tobytes())
     return keys
 
 

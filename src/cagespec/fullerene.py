@@ -370,9 +370,9 @@ class FullereneReport(NamedTuple):
 def _report_row(
     t: TriangleSpec, group: FiniteAbelianGroup, elements: list[Element], spectrum: SpectrumPartition
 ) -> FullereneReport:
-    """Check t's counting and spectral invariants and give its report;
-    elements is its sum set in edge order, sorted only for the sum_set field,
-    and spectrum its partition from sum_set_spectra."""
+    """Check t's counting and spectral invariants and give its report, of
+    spectral radius raw[0] = 3; elements is its sum set in edge order, sorted
+    only for the sum_set field, and spectrum its partition from sum_set_spectra."""
     trace, raw, canonical, paired = spectrum
     census = face_census(t)
     n = group.order
@@ -389,8 +389,8 @@ def _report_row(
             f"canonical unmatched multiset {canonical} != {expected} "
             f"for case {case}, spec {t.as_tuple()}"
         )
-    # raw and paired are descending, so their ends hold the largest magnitudes
-    radius = max(raw[0], -raw[-1], paired[0] if paired else 0.0)
+    # e1, e2 generate the group, so only the trivial character reaches 3
+    radius = raw[0]
     return FullereneReport(
         trace, raw, canonical, paired, t, group.moduli, tuple(sorted(elements)),
         n, census.f3, census.f6, case, float(radius),

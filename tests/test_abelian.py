@@ -98,6 +98,8 @@ def test_reduce_and_contains():
     assert g.contains((1, 19))
     assert not g.contains((2, 0))
     assert not g.contains((0,))
+    with pytest.raises(ValueError, match="wrong length"):
+        g.reduce((1, 2, 3))
 
 
 def test_reduce_rejects_non_integer_coordinates():
@@ -163,6 +165,8 @@ def test_involutive_elements_and_real_characters():
             sign = g.character_sign(a, x)
             assert sign in (-1, 1)
             assert abs(g.character_value(a, x) - sign) < 1e-12
+    with pytest.raises(ValueError, match="not involutive"):
+        g.character_sign((0, 1), (0, 1))
 
 
 def test_conjugate_pair_reps_partition_the_group():

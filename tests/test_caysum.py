@@ -19,7 +19,7 @@ from cagespec.caysum import (
     total_semiedge_count,
     translate_sum_set,
 )
-from cagespec.spectra import character_spectrum, multiset_close
+from cagespec.spectra import character_spectrum, multiset_close, sum_set_spectrum
 
 RNG_SEED = 0xCA75
 
@@ -256,6 +256,10 @@ def test_mismatched_group_raises():
         cayley_sum_graph(other, s)
     with pytest.raises(ValueError):
         total_semiedge_count(other, s)
+    with pytest.raises(ValueError, match="different group"):
+        cayley_graph(other, s)
+    with pytest.raises(ValueError, match="different group"):
+        sum_set_spectrum(other, s)
 
 
 def test_json_round_trip():

@@ -106,6 +106,9 @@ def test_spectrum_from_spec(capsys):
     assert payload["M_canonical"] == [3, 1]
     assert payload["oracle_match"] is True
     assert len(payload["full"]) == 40
+    code, out, _ = run_cli(["spectrum", "--spec", "6,2,-2,6,1,0", "--tolerance", "1e-6"], capsys)
+    assert code == 0
+    assert json.loads(out)["oracle_match"] is True
 
 
 def test_spectrum_round_trip_through_graph_json(capsys, monkeypatch):
@@ -525,15 +528,15 @@ def rounded_key(report) -> tuple:
 def assert_same_classes(reports) -> None:
     rounded = [rounded_key(report) for report in reports]
     exact = [cli._dedup_keys([report])[0] for report in reports]
-    # one call rounds every shape of spectrum in the list as its own array
+    # one call rounds each length of paired row in the list as its own array
     assert cli._dedup_keys(reports) == exact
     assert len(set(rounded)) == len(set(exact)) == len(set(zip(rounded, exact)))
-    for old, new in zip(rounded, exact):
-        assert new[:3] == old[:3]
-        spectrum = np.frombuffer(new[3], np.int64).tolist()
-        assert all(type(v) is int for v in spectrum)
-        # 10^9 times each rounded value, exactly
-        assert spectrum == sorted(round(v * 1e9) for v in old[3])
+    for report, key in zip(reports, exact):
+        assert key[:2] == (report.moduli, report.semiedges)
+        paired = np.frombuffer(key[2], np.int64).tolist()
+        assert all(type(v) is int for v in paired)
+        # 10^9 times each rounded magnitude, exactly, in the given order
+        assert paired == [round(round(p, 9) * 1e9) for p in report.paired]
 
 
 def test_dedup_key_keeps_the_rounded_classes():
@@ -793,6 +796,30 @@ def test_option_of_another_subcommand_exits_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--spec", "1,2,3,4,5,x"],
+        ["crystal", "--family", "path", "--sublattice", "x"],
+    ],
+)
+def test_non_integer_list_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "expected integers" in err
+
+
+def test_closed_stdout_ends_quietly(capsys, monkeypatch):
+    # a reader that exits early (cagespec census | head) closes the pipe
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["census", "--max-index", "1"]) == 0
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400", "0", "-1", "nan", "abc"])

@@ -269,8 +269,16 @@ def test_face_census_counts_the_even_symmetry_points():
 
 
 def test_counting_invariants_sweep():
-    for t in enumerate_specs(10):
-        report = classify(t)
+    # only the trivial character reaches |chi(S)| = 3, so the real values are
+    # one 3 and else +-1, fixed by their count (the moduli) and sum (s): the
+    # spectral radius and the --dedup key rest on this
+    unmatched: dict = {}
+    for report in classify_chunk(list(enumerate_specs(60))):
+        raw = report.unmatched_raw
+        assert raw.count(3) == 1
+        assert -3 not in raw
+        assert max(report.paired, default=0.0) < 3
+        assert unmatched.setdefault((len(raw), report.semiedges), raw) == raw
         assert report.semiedges in (0, 2, 3, 4)
         assert report.semiedges + report.f3 == 4
         assert report.f6 == (report.n_vertices - report.f3) // 2

@@ -63,6 +63,8 @@ def test_from_rows_rejects_non_square():
         IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         IntMatrix.from_rows([])
+    with pytest.raises(ValueError, match="non-integer entry"):
+        IntMatrix(((1.5, 0), (0, 1)))
 
 
 @pytest.mark.parametrize("entry", [2.5, 2.0, "7", np.float64(2)])
@@ -89,6 +91,10 @@ def test_identity_and_matmul():
         b = random_matrix(rng, d)
         c = random_matrix(rng, d)
         assert ((a @ b) @ c).rows == (a @ (b @ c)).rows
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        IntMatrix.identity(2) @ IntMatrix.identity(3)
+    with pytest.raises(TypeError):
+        IntMatrix.identity(2) @ 3
 
 
 def test_apply_matches_matmul():
@@ -101,6 +107,8 @@ def test_apply_matches_matmul():
             sum(a.entry(i, j) * x[j] for j in range(d)) for i in range(d)
         )
         assert a.apply(x) == expected
+    with pytest.raises(ValueError, match="does not match dimension"):
+        IntMatrix.identity(2).apply((1, 2, 3))
 
 
 def test_det_known_values():
@@ -209,6 +217,9 @@ def test_minor_gcd_known_values():
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
     assert minor_gcd(a, 1) == 2
     assert minor_gcd(a, 2) == 8  # |det| = |16 - 24|
+    for order in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            minor_gcd(a, order)
 
 
 @seed(RNG_SEED)
