@@ -8,8 +8,8 @@ a bounded window of chunks at a time under --jobs (at most one worker per
 CPU), and take back FullereneReports: they count and key them, and print the
 ones census emits.
 Exit code 0 means success, 2 a usage or parse problem (a group order above
-MAX_ORDER, or SPECTRUM_MAX_ORDER for `spectrum`, included), 3 a computation or
-invariant failure.
+MAX_ORDER, or SPECTRUM_MAX_ORDER for `spectrum`, and an `snf` matrix above
+SNF_MAX_DIMENSION included), 3 a computation or invariant failure.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .spectra import (
     numeric_spectrum,
 )
 
-__all__ = ["MAX_ORDER", "SPECTRUM_MAX_ORDER", "main"]
+__all__ = ["MAX_ORDER", "SNF_MAX_DIMENSION", "SPECTRUM_MAX_ORDER", "main"]
 
 _CENSUS_HEADER = [
     "p",
@@ -89,6 +89,11 @@ SPECTRUM_MAX_ORDER = 400
 # takes 5-7 s and 680 MB, `construct` 3-5 s and 590 MB (2-vCPU VM, Python 3.11,
 # numpy 2.4), and both grow linearly.
 MAX_ORDER = 10**6
+
+# Largest matrix dimension `snf` accepts.  On random entries in -9..9 the
+# largest U entry has 626 digits at 32 (0.06 s) and 2,380 at 48 (0.37 s); at 64
+# it passes CPython's 4,300-digit int printing limit (2-vCPU VM, Python 3.11).
+SNF_MAX_DIMENSION = 32
 
 
 # --- argument parsing --------------------------------------------------------
@@ -233,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="a,b,...",
         help="row-major sublattice entries in the ambient basis (path: the single integer n)",
     )
-    p.add_argument("--a-choice", choices=("corner", "offset"), default=None)
+    centres = "inversion centre: grid edge (default) or center, diamond corner (default) or offset"
+    p.add_argument("--a-choice", choices=("edge", "center", "corner", "offset"), help=centres)
 
     return parser
 
@@ -262,12 +268,13 @@ def _load_json(text: str):
 
 
 def _matrix_from_lists(rows) -> IntMatrix:
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ValueError("expected a JSON array of matrix rows")
-    d = len(rows)
-    for r in rows:
-        if len(r) != d or not all(type(x) is int for x in r):
-            raise ValueError(f"expected a square integer matrix, got row {r!r}")
+    # the form only: IntMatrix rejects an empty or non-square matrix
+    if isinstance(rows, list) and len(rows) > SNF_MAX_DIMENSION:
+        raise ValueError(f"matrix dimension {len(rows)} exceeds the limit {SNF_MAX_DIMENSION}")
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and all(type(x) is int for x in r) for r in rows
+    ):
+        raise ValueError("expected a JSON array of rows of JSON integers")
     return IntMatrix.from_rows(rows)
 
 
@@ -508,34 +515,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crystal(args) -> int:
-    family = args.family
-    if family == "path":
-        if args.d not in (None, 1):
+    family, d, entries, a_choice = args.family, args.d, args.sublattice, args.a_choice
+    if family == "path":  # path_family(n) takes neither a dimension nor a centre
+        if d not in (None, 1):
             raise ValueError("the path family is 1-dimensional")
-        if len(args.sublattice) != 1:
-            raise ValueError("path: --sublattice expects the single integer n")
-        if args.a_choice is not None:
+        if a_choice is not None:
             raise ValueError("--a-choice does not apply to the path family")
-        spec = path_family(args.sublattice[0])
-        a_choice = None
+        d = 1
+    if d is None:
+        raise ValueError(f"--d is required for the {family} family")
+    if len(entries) != d * d:
+        raise ValueError(
+            f"--sublattice expects {d * d} integer{'s' if d > 1 else ''} "
+            f"(row-major {d}x{d}), got {len(entries)}"
+        )
+    if family == "path":
+        spec = path_family(entries[0])
     else:
-        d = args.d
-        if d is None:
-            raise ValueError(f"--d is required for the {family} family")
-        entries = args.sublattice
-        if len(entries) != d * d:
-            raise ValueError(
-                f"--sublattice expects {d * d} integers (row-major {d}x{d}), got {len(entries)}"
-            )
         sub = IntMatrix.from_rows([list(entries[i * d : (i + 1) * d]) for i in range(d)])
-        if family == "grid":
-            if args.a_choice is not None:
-                raise ValueError("--a-choice applies to the diamond family only")
-            spec = grid_family(d, sub)
-            a_choice = "edge"
-        else:
-            a_choice = args.a_choice or "corner"
-            spec = diamond_family(d, sub, a_choice)
+        a_choice = a_choice or ("edge" if family == "grid" else "corner")
+        spec = (grid_family if family == "grid" else diamond_family)(d, sub, a_choice)
     q, s, graph = crystal_cayley(spec)
     _check_order(graph.n_vertices)  # before the neighbour array is built
     part = character_spectrum(graph)

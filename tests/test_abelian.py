@@ -68,6 +68,7 @@ def test_element_enumeration_is_lexicographic():
         (1, 1),
         (1, 2),
     )
+    assert g.elements() == g.element_tuple
     for i, x in enumerate(g.element_tuple):
         assert g.index_of(x) == i
 

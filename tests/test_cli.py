@@ -73,10 +73,34 @@ def test_snf_bad_input(capsys):
     code, _, err = run_cli(["snf", "not json"], capsys)
     assert code == 2
     assert "error" in err
-    code, _, _ = run_cli(["snf", "[[1, 2], [3]]"], capsys)
-    assert code == 2
     code, _, _ = run_cli(["snf", '{"rows": 3}'], capsys)
     assert code == 2
+    # the shape is IntMatrix's to check
+    for text, message in (
+        ("[]", "matrix must have at least one row"),
+        ("[[]]", "matrix is not square"),
+        ("[[1, 2], [3]]", "matrix is not square"),
+        ("[[true]]", "rows of JSON integers"),
+        ("[1, 2]", "rows of JSON integers"),
+    ):
+        code, out, err = run_cli(["snf", text], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
+def test_snf_dimension_limit(capsys):
+    d = cli.SNF_MAX_DIMENSION
+    identity = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
+    code, out, err = run_cli(["snf", json.dumps(identity)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: matrix dimension {d + 1} exceeds the limit {d}\n"
+    rng = random.Random(1)
+    rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+    code, out, _ = run_cli(["snf", json.dumps(rows)], capsys)
+    assert code == 0
+    assert len(json.loads(out)["diagonal"]) == d
 
 
 def test_snf_rejects_csv_format(capsys):
@@ -279,7 +303,7 @@ _cli_calls = st.one_of(
     st.tuples(
         st.sampled_from(["path", "grid", "diamond"]),
         st.integers(0, 9).map(lambda d: d or None),  # 0: no --d
-        st.sampled_from([None, "corner", "offset"]),
+        st.sampled_from([None, "edge", "center", "corner", "offset"]),
     ).flatmap(lambda c: _crystal_call(*c)),
 )
 
@@ -700,6 +724,21 @@ def test_crystal_diamond(capsys):
     assert payload["graph"]["moduli"] == [2, 2, 2]
 
 
+def test_crystal_grid_body_centre(capsys):
+    code, out, _ = run_cli(
+        [
+            "crystal", "--family", "grid", "--d", "3",
+            "--sublattice", "2,0,0,0,2,0,0,0,2", "--a-choice", "center",
+        ],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["a_choice"] == "center"
+    assert payload["spectrum"]["s"] == 0
+    assert payload["spectrum"]["M_canonical"] == [6, -2, -2, -2]
+
+
 def test_crystal_usage_errors(capsys):
     code, _, _ = run_cli(
         ["crystal", "--family", "path", "--sublattice", "4", "--a-choice", "corner"],
@@ -715,12 +754,27 @@ def test_crystal_usage_errors(capsys):
         ["crystal", "--family", "grid", "--d", "2", "--sublattice", "1,1,1,1"], capsys
     )
     assert code == 3  # singular sublattice
+    code, _, err = run_cli(["crystal", "--family", "path", "--sublattice", "4,5"], capsys)
+    assert code == 2
+    assert "expects 1 integer (row-major 1x1), got 2" in err
     # arguments the family builders reject
     identity_9 = ",".join("1" if i % 10 == 0 else "0" for i in range(81))
     for argv, message in (
         (["--family", "grid", "--d", "9", "--sublattice", identity_9], "dimension must be in 1..8"),
         (["--family", "path", "--sublattice", "1"], "at least 2 vertices"),
         (["--family", "diamond", "--d", "1", "--sublattice", "2"], "dimension >= 2"),
+        (
+            ["--family", "grid", "--d", "2", "--sublattice", "2,0,0,2", "--a-choice", "center"],
+            "requires odd dimension",
+        ),
+        (
+            ["--family", "grid", "--d", "2", "--sublattice", "2,0,0,2", "--a-choice", "corner"],
+            "unknown a_choice 'corner' for the grid family",
+        ),
+        (
+            ["--family", "diamond", "--d", "2", "--sublattice", "2,0,0,2", "--a-choice", "center"],
+            "unknown a_choice 'center' for the diamond family",
+        ),
     ):
         code, out, err = run_cli(["crystal", *argv], capsys)
         assert code == 2

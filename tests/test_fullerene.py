@@ -168,6 +168,31 @@ def test_case_table_contents():
     }
 
 
+def test_case_table_follows_from_g_mod_2g():
+    # the real characters and the semiedges depend only on the images of x0,
+    # e1, e2 in G/2G = (Z/2)^r, where e1 and e2 span it (so r <= 2): the real
+    # values are chi_a(x0)(1 + chi_a(e1) + chi_a(e2)) for a in (Z/2)^r, and
+    # s = 2^r #{k : s_k in 2G} for the sum set x0 + {0, e1, e2}
+    def chi(a, x):
+        return (-1) ** sum(i * j for i, j in zip(a, x))
+
+    def add(x, y):
+        return tuple((i + j) % 2 for i, j in zip(x, y))
+
+    seen = Counter()
+    for r in range(3):
+        space = list(itertools.product((0, 1), repeat=r))
+        for x0, e1, e2 in itertools.product(space, repeat=3):
+            if len({add(x, y) for x in (space[0], e1) for y in (space[0], e2)}) < 2**r:
+                continue  # e1 and e2 do not span G/2G
+            values = [chi(a, x0) * (1 + chi(a, e1) + chi(a, e2)) for a in space]
+            s = 2**r * sum(not any(x) for x in (x0, add(x0, e1), add(x0, e2)))
+            assert spectra.canonical_unmatched(values) == CASE_TABLE[s][1]
+            seen[s] += 1
+    assert sum(seen.values()) == 31
+    assert set(seen) == {0, 2, 3, 4}
+
+
 # --- golden quotients --------------------------------------------------------
 
 def test_index_forty_untranslated():
@@ -289,6 +314,13 @@ def test_counting_invariants_sweep():
         assert spectrum_is_paired(
             report.full_spectrum(), report.unmatched_canonical, 1e-8
         )
+        # 1 + z^u + z^v = 0 only at the two primitive cube roots of unity, so a
+        # pair +-0 occurs, once, iff L lies in {x = y mod 3}: p = q, r = s mod 3
+        t = report.spec
+        dirac = (t.p - t.q) % 3 == 0 and (t.r - t.s) % 3 == 0
+        small = [m for m in report.paired if m < 1e-3]
+        assert len(small) == dirac
+        assert all(m < 1e-9 for m in small)
 
 
 def test_enumeration_counts_and_uniqueness():
