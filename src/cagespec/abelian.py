@@ -224,7 +224,7 @@ def quotient_group(basis: IntMatrix) -> QuotientMap:
     """Quotient of Z^d by the lattice spanned by the columns of basis."""
     decomposition = snf(basis)
     diag = decomposition.d.diagonal()
-    if any(x == 0 for x in diag):
+    if 0 in diag:
         raise DegenerateLatticeError(f"sublattice basis is singular: {basis.to_lists()}")
     return QuotientMap(
         dim=basis.dim,

@@ -92,7 +92,7 @@ class TriangleSpec:
     p2: int
 
     def __post_init__(self) -> None:
-        # the chained type test is the fast path for enumerate_specs' ints
+        # the chained type test is the fast path for entries that are Python ints
         if not (
             type(self.p) is type(self.q) is type(self.r) is type(self.s)
             is type(self.p1) is type(self.p2) is int
@@ -106,6 +106,20 @@ class TriangleSpec:
             )
         object.__setattr__(self, "p1", self.p1 % 2)
         object.__setattr__(self, "p2", self.p2 % 2)
+
+    @classmethod
+    def _of_ints(cls, p: int, q: int, r: int, s: int, p1: int, p2: int) -> TriangleSpec:
+        """A spec of Python ints already known to be nonsingular, with
+        parities in {0, 1}, stored without the checks of __post_init__."""
+        spec = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(spec, "p", p)
+        setattr_(spec, "q", q)
+        setattr_(spec, "r", r)
+        setattr_(spec, "s", s)
+        setattr_(spec, "p1", p1)
+        setattr_(spec, "p2", p2)
+        return spec
 
     @property
     def lattice(self) -> IntMatrix:
@@ -126,8 +140,19 @@ class TriangleSpec:
 def _sum_set_elements(q: QuotientMap, t: TriangleSpec) -> list[Element]:
     """The images of (p1-1, p2-1), (p1, p2-1) and (p1-1, p2) under the
     quotient map q of t's lattice, in this edge order: element k is the label
-    sum across edge k of every orbit of the fold (see _label_sums_match)."""
-    return [q.project(v) for v in ((t.p1 - 1, t.p2 - 1), (t.p1, t.p2 - 1), (t.p1 - 1, t.p2))]
+    sum across edge k of every orbit of the fold (see _label_sums_match).
+
+    Each kept row ((r0, r1), m) of q projects (p1-1, p2-1) once, to v; the
+    images of +e1 and +e2 are then v + r0 and v + r1 mod m, exactly as
+    q.project would give them."""
+    x, y = t.p1 - 1, t.p2 - 1
+    base = plus_e1 = plus_e2 = ()
+    for (r0, r1), m in q._active_rows:
+        v = (r0 * x + r1 * y) % m
+        base += (v,)
+        plus_e1 += ((v + r0) % m,)
+        plus_e2 += ((v + r1) % m,)
+    return [base, plus_e1, plus_e2]
 
 
 @functools.lru_cache(maxsize=16)
@@ -135,9 +160,10 @@ def _lattice_quotient(p: int, q: int, r: int, s: int) -> QuotientMap:
     """quotient_group of the lattice with columns (p, q), (r, s), shared by
     consecutive calls on one lattice, such as the four translations of a
     sweep.  The memo holds a few lattices only, so a batch of distinct
-    lattices evicts it; keys are Python ints (TriangleSpec stores them so).
+    lattices evicts it; keys are Python ints (TriangleSpec stores them so),
+    so the lattice is stored without IntMatrix's entry checks.
     """
-    return quotient_group(IntMatrix(((p, r), (q, s))))
+    return quotient_group(IntMatrix._of_ints(((p, r), (q, s))))
 
 
 def group_and_sumset(t: TriangleSpec) -> tuple[QuotientMap, SumSet]:
@@ -482,7 +508,7 @@ def enumerate_specs(max_index: int) -> Iterator[TriangleSpec]:
             c = n // a
             for b in range(a):
                 for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                    yield TriangleSpec(a, 0, b, c, p1, p2)
+                    yield TriangleSpec._of_ints(a, 0, b, c, p1, p2)
 
 
 # --- optional basis normalization -------------------------------------------

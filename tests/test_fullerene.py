@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import pickle
 import random
 from collections import Counter
@@ -34,7 +35,7 @@ from cagespec.fullerene import (
     verify_isomorphism,
     verify_spec,
 )
-from cagespec.spectra import SpectrumPartition, multiset_close, spectrum_is_paired
+from cagespec.spectra import MATCH_TOL, SpectrumPartition, multiset_close, spectrum_is_paired
 
 RNG_SEED = 0xF01D
 TRANSLATIONS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -298,6 +299,7 @@ def test_counting_invariants_sweep():
     # one 3 and else +-1, fixed by their count (the moduli) and sum (s): the
     # spectral radius and the --dedup key rest on this
     unmatched: dict = {}
+    pair_reps: dict = {}
     for report in classify_chunk(list(enumerate_specs(60))):
         raw = report.unmatched_raw
         assert raw.count(3) == 1
@@ -321,6 +323,30 @@ def test_counting_invariants_sweep():
         small = [m for m in report.paired if m < 1e-3]
         assert len(small) == dirac
         assert all(m < 1e-9 for m in small)
+        q = fullerene._lattice_quotient(t.p, t.q, t.r, t.s)
+        # S = s0 + {0, e1, e2}, so a pair representative a has |chi_a(S)| =
+        # |1 + z^u + z^v| with z = exp(2 pi i / N) and u, v the exact phases
+        # of e1 and e2 at a over N = lcm(moduli)
+        if report.moduli not in pair_reps:
+            group = FiniteAbelianGroup(report.moduli)
+            reps = group.conjugate_pair_reps()
+            pair_reps[report.moduli] = np.array(reps, dtype=np.int64).reshape(len(reps), group.rank)
+        reps = pair_reps[report.moduli]
+        lcm = math.lcm(*report.moduli)
+        weights = np.array([lcm // n for n in report.moduli], dtype=np.int64)
+        u = reps @ (np.array(q.project((1, 0)), dtype=np.int64) * weights) % lcm
+        v = reps @ (np.array(q.project((0, 1)), dtype=np.int64) * weights) % lcm
+        closed = np.abs(1 + np.exp(2j * np.pi * u / lcm) + np.exp(2j * np.pi * v / lcm))
+        closed = np.sort(closed)[::-1]
+        assert len(closed) == len(report.paired)
+        assert np.abs(closed - report.paired).max(initial=0.0) <= MATCH_TOL
+        # triangles from the group: c = s0 - s1 + s2 is the image of
+        # (p1 - 2, p2), and f3 counts the x with 2x = c, |G[2]| of them when
+        # c lies in 2G (even at every even modulus) and none otherwise
+        c = q.project((t.p1 - 2, t.p2))
+        halvable = all(x % 2 == 0 for x, n in zip(c, report.moduli) if n % 2 == 0)
+        involutions = math.prod(2 for n in report.moduli if n % 2 == 0)
+        assert report.f3 == (involutions if halvable else 0)
 
 
 def test_enumeration_counts_and_uniqueness():
@@ -344,6 +370,19 @@ def test_enumeration_covers_every_lattice_once():
         assert by_index[n] == 4 * expected
 
 
+def test_enumerated_specs_equal_the_checked_constructor():
+    # enumerate_specs stores its specs without the constructor's checks; each
+    # must be the spec TriangleSpec builds, also after the pickle round trip
+    # through which --jobs workers receive their specs
+    for t in enumerate_specs(30):
+        checked = TriangleSpec(*t.as_tuple())
+        assert t == checked and hash(t) == hash(checked)
+        assert vars(t) == vars(checked)
+        assert all(type(x) is int for x in t.as_tuple())
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == checked and hash(copy) == hash(checked)
+
+
 # --- fold vs Cayley sum graph ------------------------------------------------
 
 def test_folded_graph_shape():
@@ -361,6 +400,17 @@ def extra_fold_specs() -> list[TriangleSpec]:
     """Non-Hermite bases plus two lattices whose quotient has rank 2."""
     bases = SKEW_BASES + ((6, 0, 0, 6), (4, 0, 2, 12))
     return [TriangleSpec(*pqrs, p1, p2) for pqrs in bases for p1, p2 in TRANSLATIONS]
+
+
+def three_projections(q, t: TriangleSpec) -> list:
+    """The sum set in edge order, one QuotientMap.project call per element."""
+    return [q.project(v) for v in ((t.p1 - 1, t.p2 - 1), (t.p1, t.p2 - 1), (t.p1 - 1, t.p2))]
+
+
+def test_sum_set_elements_are_three_projections():
+    for t in [*enumerate_specs(60), *extra_fold_specs()]:
+        q = fullerene._lattice_quotient(t.p, t.q, t.r, t.s)
+        assert fullerene._sum_set_elements(q, t) == three_projections(q, t)
 
 
 def test_fold_is_isomorphic_across_sweep():
@@ -695,7 +745,10 @@ def test_randomized_basis_invariants(pqrs, p1, p2):
     p, q_, r, s_ = pqrs
     if p * s_ - q_ * r == 0:
         return
-    report = classify(TriangleSpec(p, q_, r, s_, p1, p2))
+    t = TriangleSpec(p, q_, r, s_, p1, p2)
+    report = classify(t)
+    q, _ = group_and_sumset(t)
+    assert fullerene._sum_set_elements(q, t) == three_projections(q, t)
     assert report.semiedges in (0, 2, 3, 4)
     assert report.semiedges + report.f3 == 4
     assert 2 * report.f6 + report.f3 == report.n_vertices
